@@ -1,6 +1,6 @@
 # Convenience targets — everything here also runs through plain go commands.
 
-.PHONY: test race chaos chaos-smoke bench6 bench7 bench8
+.PHONY: test race chaos chaos-smoke bench6 bench7
 
 test:
 	go build ./... && go test ./...
@@ -33,10 +33,3 @@ bench6:
 BENCH7_OUT ?= $(CURDIR)/BENCH_7.json
 bench7:
 	BENCH7_OUT=$(BENCH7_OUT) go test ./internal/bench -run TestSkewBenchArtifact -count=1 -v
-
-# bench8 snapshots the solver-engine trajectory (per-window solve ms plus the
-# conflict-driven counters) for Fig7 and Fig7Residual across the naive,
-# worklist, and CDNL engines into BENCH_8.json.
-BENCH8_OUT ?= $(CURDIR)/BENCH_8.json
-bench8:
-	BENCH8_OUT=$(BENCH8_OUT) go test ./internal/bench -run TestCDNLBenchArtifact -count=1 -v

@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	budgetBytes := fs.Int64("budget-bytes", 0, "memory budget in approximate retained bytes (the byte-based successor of -budget; both may be combined)")
 	adaptive := fs.Bool("adaptive", false, "with -workers: rebalance partitions across workers at runtime (migrate hot partitions, split overloaded communities under the duplication cost model)")
 	naive := fs.Bool("naive-solver", false, "use the legacy rescan propagator instead of the counter/worklist engine (ablation; full enumerations identical)")
-	cdnl := fs.Bool("cdnl", false, "use the conflict-driven solver with cross-window clause reuse (answers identical; work profile differs)")
+	cdnl := fs.Bool("cdnl", false, "use the conflict-driven solver: clause learning, backjumping, loop nogoods (answers identical; work profile differs)")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate: the worker's serving cert with -worker, the coordinator's client cert with -workers (enables TLS)")
 	tlsKey := fs.String("tls-key", "", "PEM private key for -tls-cert")
 	tlsCA := fs.String("tls-ca", "", "PEM CA bundle: verifies coordinator client certs with -worker (mutual TLS), verifies workers with -workers")
@@ -293,9 +293,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			residualWindows, n, solveTotals.RuleVisits, solveTotals.QueuePushes, solveTotals.SourceRepairs,
 			solveTotals.Choices, solveTotals.Propagations, solveTotals.StabilityChecks)
 		if *cdnl {
-			fmt.Fprintf(stdout, "cdnl: conflicts=%d learned=%d backjumps=%d loop-nogoods=%d reused-clauses=%d\n",
+			fmt.Fprintf(stdout, "cdnl: conflicts=%d learned=%d backjumps=%d loop-nogoods=%d\n",
 				solveTotals.Conflicts, solveTotals.Learned, solveTotals.Backjumps,
-				solveTotals.LoopNogoods, solveTotals.ReusedClauses)
+				solveTotals.LoopNogoods)
 		}
 	}
 	if st, ok := pl.MemoryStats(); ok && (st.Budget > 0 || st.BudgetBytes > 0) {
@@ -317,8 +317,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if distEng != nil && *adaptive {
 		rs := distEng.RebalanceStats()
-		fmt.Fprintf(stdout, "rebalance: observed=%d moves=%d splits=%d refines=%d refused=%d joins=%d leaves=%d partitions=%d last=%q\n",
-			rs.Observations, rs.Moves, rs.Splits, rs.PlanRefines, rs.RefusedSplits,
+		fmt.Fprintf(stdout, "rebalance: observed=%d moves=%d splits=%d refused=%d joins=%d leaves=%d partitions=%d last=%q\n",
+			rs.Observations, rs.Moves, rs.Splits, rs.RefusedSplits,
 			rs.Joins, rs.Leaves, distEng.Partitions(), rs.LastAction)
 	}
 	if chaosInj != nil {

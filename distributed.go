@@ -18,14 +18,13 @@ type TransportStats = reasoner.TransportStats
 
 // RebalanceOptions tunes the adaptive rebalancer enabled by
 // WithAdaptiveRebalancing: skew threshold, sustain/cooldown windows, the
-// per-community fan-out cap, and the Louvain resolution ladder for plan
-// refines. The zero value uses the documented defaults.
+// per-community fan-out cap, and the minimum window size observed. The zero
+// value uses the documented defaults.
 type RebalanceOptions = reasoner.RebalanceOptions
 
 // RebalanceStats counts the adaptive rebalancer's decisions: windows
-// observed, partition moves, accepted community splits and plan refines,
-// splits refused by the duplication cost model, and elastic worker joins
-// and leaves.
+// observed, partition moves, accepted community splits, splits refused by
+// the duplication cost model, and elastic worker joins and leaves.
 type RebalanceStats = reasoner.RebalanceStats
 
 // PartitionLoad is one partition's observed load in the most recently

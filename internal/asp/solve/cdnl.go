@@ -17,17 +17,15 @@
 //     corresponding loop nogoods, so non-disjunctive candidates are stable by
 //     construction and skip the reduct test entirely;
 //   - learned clauses live in a managed DB (clausedb.go) with activity-based
-//     forgetting and size/LBD caps, and — through CarryState — survive into
-//     the next overlapping window when the ground rules their derivations
-//     relied on are still present.
+//     forgetting that keeps glue clauses (LBD <= 2).
+//
+// Each Solve call starts from an empty clause DB and occurrence-seeded
+// activity, so a window's search depends only on its own ground program.
 //
 // Enumeration uses blocking clauses over decision literals: after each total
-// assignment the negation of its decisions is added as a permanent (but
-// non-carriable) clause and handled like a conflict, which walks the search
-// through every candidate exactly once without restarts. Clauses whose
-// derivation involved a blocking clause are tainted: they are sound for the
-// remainder of the current enumeration (they only exclude already-visited
-// candidates) but are never carried to the next window.
+// assignment the negation of its decisions is added as a permanent clause and
+// handled like a conflict, which walks the search through every candidate
+// exactly once without restarts.
 package solve
 
 // Reason kinds recorded per implied atom for conflict analysis.
@@ -92,7 +90,7 @@ type cdnl struct {
 	pi int32
 
 	// Conflict description, filled by the note* helpers at detection sites:
-	// a clause whose literals are all false, plus its premises.
+	// a clause whose literals are all false.
 	cLits []int32
 
 	// VSIDS decision heuristic.
@@ -105,7 +103,6 @@ type cdnl struct {
 	// Clause DB (clausedb.go).
 	db          []clause
 	watch       [][]int32 // per literal: indices of clauses watching it
-	units       []int32   // carried unit clauses, asserted at level 0
 	learnedLive int
 	maxLearned  int
 	claInc      float64
@@ -129,60 +126,54 @@ type cdnl struct {
 	uSet        []int32 // unfounded set scratch
 	tail        []int32 // loop-clause killer tail scratch
 
-	// Enumeration-taint tracking. An assignment is tainted when its
-	// derivation (transitively) involved a blocking clause; clauses that
-	// silently depend on such assignments — by dropping them as root-level
-	// literals during analysis — must never be carried. anyTaint gates the
-	// bookkeeping so the pre-enumeration search pays nothing.
-	atomTaint []bool
-	anyTaint  bool
-
 	// Conflict-analysis scratch (conflict.go).
 	seen      []bool
 	outLearnt []int32
 	rbuf      []int32
 	lbdStamp  []int32
 	lbdEpoch  int32
-	prem      premScratch
-	rootStamp []int32 // per-atom epoch stamp for rootPremises
-	rootEpoch int32
-	rootStack []int32
-	rootBuf   []int32
-
-	// Cross-window carry bookkeeping.
-	localOf []int32 // AtomID -> local index for this window (shared with Solve)
 }
 
+// newCDNL wires the engine for one Solve call: stability mode, SCCs, and
+// the decision heap seeded with occurrence-count activity.
 func newCDNL(s *solver) *cdnl {
 	n := len(s.ids)
 	cd := &cdnl{
 		s: s, n: n,
-		level:     make([]int32, n),
-		reasonK:   make([]uint8, n),
-		reasonI:   make([]int32, n),
-		posIn:     make([]int32, n),
-		act:       make([]float64, n),
-		varInc:    1.0,
-		claInc:    1.0,
-		hpos:      make([]int32, n),
-		phase:     make([]int8, n),
-		watch:     make([][]int32, 2*n),
-		seen:      make([]bool, n),
-		fStamp:    make([]int32, n),
-		rStamp:    make([]int32, len(s.rules)),
-		needPos:   make([]int32, len(s.rules)),
-		atomTaint: make([]bool, n),
-		lbdStamp:  make([]int32, n+2),
-		rootStamp: make([]int32, n),
+		level:    make([]int32, n),
+		reasonK:  make([]uint8, n),
+		reasonI:  make([]int32, n),
+		posIn:    make([]int32, n),
+		act:      make([]float64, n),
+		varInc:   1.0,
+		claInc:   1.0,
+		hpos:     make([]int32, n),
+		phase:    make([]int8, n),
+		watch:    make([][]int32, 2*n),
+		seen:     make([]bool, n),
+		fStamp:   make([]int32, n),
+		rStamp:   make([]int32, len(s.rules)),
+		needPos:  make([]int32, len(s.rules)),
+		lbdStamp: make([]int32, n+2),
 	}
-	cd.maxLearned = len(s.rules)
-	if cd.maxLearned < 256 {
-		cd.maxLearned = 256
+	cd.maxLearned = max(len(s.rules), 256)
+	for i := range s.rules {
+		r := &s.rules[i]
+		if !r.choice && len(r.head) > 1 {
+			cd.checkStability = true
+			break
+		}
 	}
-	cd.prem.init(len(s.rules), n)
+	if !cd.checkStability {
+		cd.buildSCCs()
+	}
+	// Initial activity mirrors the worklist branch order (occurrence count),
+	// scaled so that the first conflict bump dominates it.
 	for a := 0; a < n; a++ {
 		cd.phase[a] = tru
-		cd.hpos[a] = -1
+		occ := len(s.occHead.of(a)) + len(s.occPos.of(a)) + len(s.occNeg.of(a))
+		cd.act[a] = float64(occ) * 1e-9
+		cd.heapPush(int32(a))
 	}
 	return cd
 }
@@ -201,54 +192,12 @@ func (cd *cdnl) onAssign(a int) {
 	cd.reasonK[a] = cd.pk
 	cd.reasonI[a] = cd.pi
 	cd.posIn[a] = int32(len(cd.s.trail) - 1)
-	if cd.pk == rkClause && cd.db[cd.pi].flags&fTaint != 0 {
-		cd.atomTaint[a] = true
-		cd.anyTaint = true
-	} else if cd.anyTaint {
-		cd.atomTaint[a] = cd.reasonTainted(cd.pk, cd.pi, a)
-	}
-}
-
-// reasonTainted reports whether an assignment with the given reason depends
-// on an already-tainted assignment. It scans every assigned atom the reason
-// mentions — a superset of the true antecedents, so it can only over-taint,
-// never under-taint.
-func (cd *cdnl) reasonTainted(k uint8, i int32, a int) bool {
-	s := cd.s
-	scanRule := func(r *irule) bool {
-		for _, l := range [3][]int{r.head, r.pos, r.neg} {
-			for _, x := range l {
-				if x != a && s.assign[x] != undef && cd.atomTaint[x] {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	switch k {
-	case rkClause:
-		for _, q := range cd.db[i].lits {
-			if cd.atomTaint[litAtom(q)] {
-				return true
-			}
-		}
-	case rkRule, rkChoice:
-		return scanRule(&s.rules[i])
-	case rkSupport:
-		for _, ri := range s.occHead.of(a) {
-			if scanRule(&s.rules[ri]) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // onUnassign saves the phase and re-inserts the atom into the decision heap.
 // Called from solver.undoTo.
 func (cd *cdnl) onUnassign(a int, v int8) {
 	cd.phase[a] = v
-	cd.atomTaint[a] = false
 	if cd.hpos[a] < 0 {
 		cd.heapPush(int32(a))
 	}
@@ -425,8 +374,6 @@ func (cd *cdnl) ruleClause(ri int32, skip int, buf []int32) []int32 {
 // noteRuleConflict records a violated non-choice rule (body satisfied, every
 // head false) as the conflict clause.
 func (cd *cdnl) noteRuleConflict(ri int32) {
-	cd.prem.reset()
-	cd.prem.addRule(ri)
 	cd.cLits = cd.ruleClause(ri, -1, cd.cLits[:0])
 }
 
@@ -434,8 +381,6 @@ func (cd *cdnl) noteRuleConflict(ri int32) {
 // satisfied, either too many heads are already true (upper) or too many are
 // already false for the lower bound to remain reachable.
 func (cd *cdnl) noteChoiceConflict(ri int32, upper bool) {
-	cd.prem.reset()
-	cd.prem.addRule(ri)
 	s := cd.s
 	r := &s.rules[ri]
 	buf := cd.cLits[:0]
@@ -459,8 +404,6 @@ func (cd *cdnl) noteChoiceConflict(ri int32, upper bool) {
 // the completion clause ¬a ∨ (some rule of a supports it), with each rule's
 // support condition represented by a currently-false killer literal.
 func (cd *cdnl) noteSupportConflict(a int) {
-	cd.prem.reset()
-	cd.prem.addComp(int32(a))
 	buf := cd.cLits[:0]
 	buf = append(buf, mkLit(a, false))
 	for _, ri := range cd.s.occHead.of(a) {
@@ -471,8 +414,6 @@ func (cd *cdnl) noteSupportConflict(a int) {
 
 // noteClauseConflict records a fully falsified clause as the conflict.
 func (cd *cdnl) noteClauseConflict(ci int32) {
-	cd.prem.reset()
-	cd.prem.addClausePrem(&cd.db[ci])
 	cd.bumpCla(ci)
 	cd.cLits = append(cd.cLits[:0], cd.db[ci].lits...)
 }
@@ -483,7 +424,6 @@ func (cd *cdnl) noteClauseConflict(ci int32) {
 // setting, but kept so set stays safe for any caller.
 func (cd *cdnl) noteClashConflict(a int, v int8) {
 	k, i := cd.pk, cd.pi
-	cd.prem.reset()
 	buf := cd.cLits[:0]
 	buf = append(buf, mkLit(a, v == tru))
 	cd.cLits = cd.antecedents(k, i, a, int32(len(cd.s.trail)), buf)
@@ -513,10 +453,8 @@ func (cd *cdnl) appendKiller(ri int32, a int, p int32, buf []int32) []int32 {
 		}
 	}
 	// Invariant breach: the support died without a witness. Degrade to
-	// reduct-test verification, and taint the clause under construction —
-	// it is missing a disjunct, so it must never leave this window.
+	// reduct-test verification.
 	cd.checkStability = true
-	cd.prem.taint = true
 	return buf
 }
 
@@ -524,22 +462,9 @@ func (cd *cdnl) appendKiller(ri int32, a int, p int32, buf []int32) []int32 {
 
 // propagateAll runs rule, support, clause, and unfounded propagation to a
 // mutual fixpoint. It returns false on conflict, with the conflict clause in
-// cd.cLits and its premises in cd.prem.
+// cd.cLits.
 func (cd *cdnl) propagateAll() bool {
 	s := cd.s
-	for _, ci := range cd.units {
-		c := &cd.db[ci]
-		if cd.litTrue(c.lits[0]) {
-			continue
-		}
-		if cd.litFalse(c.lits[0]) {
-			cd.noteClauseConflict(ci)
-			s.clearQueues()
-			return false
-		}
-		cd.imply(c.lits[0], rkClause, ci)
-	}
-	cd.units = cd.units[:0]
 	for {
 		if !cd.propWatches() {
 			s.clearQueues()
@@ -609,9 +534,7 @@ func (cd *cdnl) handleTotal() bool {
 		d := int(s.trail[cd.trailLim[L]])
 		lits = append(lits, mkLit(d, s.assign[d] != tru))
 	}
-	cd.prem.reset()
-	cd.prem.taint = true
-	ci := cd.addClauseFromScratch(lits, fBlocking|fTaint)
+	ci := cd.addClause(lits, fBlocking)
 	cd.cancelUntil(int32(lvl - 1))
 	cd.imply(cd.db[ci].lits[0], rkClause, ci)
 	return true

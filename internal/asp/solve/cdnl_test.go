@@ -7,13 +7,12 @@ import (
 
 	"streamrule/internal/asp/ast"
 	"streamrule/internal/asp/ground"
-	"streamrule/internal/asp/intern"
 )
 
 // cdnlKeys solves with the CDNL engine and returns sorted model key sets.
-func cdnlKeys(t *testing.T, gp *ground.Program, carry *CarryState) ([][]string, *Result) {
+func cdnlKeys(t *testing.T, gp *ground.Program) ([][]string, *Result) {
 	t.Helper()
-	res, err := SolveCarry(gp, Options{CDNL: true}, carry)
+	res, err := Solve(gp, Options{CDNL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestCDNLMatchesWorklist(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _ := cdnlKeys(t, gp, nil)
+			got, _ := cdnlKeys(t, gp)
 			if !sameModels(got, modelKeys(want)) {
 				t.Fatalf("CDNL models %v, worklist %v", got, modelKeys(want))
 			}
@@ -146,44 +145,6 @@ func TestQuickCDNLMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: carrying learned state across solves — of the same program and of
-// a mutated one — never changes the answer sets. The repeat solve is the
-// maximal-reuse case (every premise still holds); the mutated solve exercises
-// premise invalidation (head sets and rule sets change under the carry).
-func TestQuickCDNLCarrySound(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e"}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		gp := randChoiceProgram(rng, names, 5)
-		carry := &CarryState{}
-		for step := 0; step < 3; step++ {
-			res, err := SolveCarry(gp, Options{CDNL: true}, carry)
-			if err != nil {
-				return false
-			}
-			if !sameModels(modelKeys(res), bruteForceChoice(gp)) {
-				return false
-			}
-			if step == 1 {
-				// Mutate both ways: adding a rule can flip root implications
-				// (nonmonotonicity), removing one invalidates premises.
-				mut := &ground.Program{Rules: append([]ast.Rule(nil), gp.Rules...)}
-				if rng.Intn(2) == 0 && len(mut.Rules) > 1 {
-					i := rng.Intn(len(mut.Rules))
-					mut.Rules = append(mut.Rules[:i], mut.Rules[i+1:]...)
-				} else {
-					mut.Rules = append(mut.Rules, randChoiceRule(rng, names))
-				}
-				gp = mut
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestCDNLUnfoundedSkipsStabilityChecks pins the tentpole perf property on a
 // positive-loop program: the worklist engine completes candidates with
 // loop-supported atoms and pays a reduct test to reject them, while CDNL
@@ -201,7 +162,7 @@ p :- not a.
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, res := cdnlKeys(t, gp, nil)
+	got, res := cdnlKeys(t, gp)
 	if !sameModels(got, modelKeys(wl)) {
 		t.Fatalf("CDNL models %v, worklist %v", got, modelKeys(wl))
 	}
@@ -223,7 +184,9 @@ p :- not a.
 // TestCDNLBackjumps crafts a conflict whose asserting clause only involves the
 // first and third decisions, so resolution must jump over the second decision
 // level — the non-chronological move the worklist engine cannot make. The
-// decision order u1, u2, u3 is pinned through carried activity.
+// decision order u1, u2, u3 is pinned through the initial activity, which
+// follows occurrence counts: the r and q rules pad u1 (7) above u2 (5) above
+// u3 (4) above every other atom.
 func TestCDNLBackjumps(t *testing.T) {
 	src := `
 u1 :- not v1.
@@ -234,23 +197,20 @@ u3 :- not v3.
 v3 :- not u3.
 p :- u1, u3.
 :- u3, p.
+r1 :- u1.
+r2 :- u1.
+r3 :- u1.
+r4 :- u1.
+q1 :- u2.
+q2 :- u2.
+q3 :- u2.
 `
 	gp := groundSrc(t, src)
 	want, err := Solve(gp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, _, _ := idForm(gp)
-	carry := &CarryState{act: map[intern.AtomID]float64{
-		tab.InternAtom(ast.NewAtom("u1")): 3,
-		tab.InternAtom(ast.NewAtom("u2")): 2,
-		tab.InternAtom(ast.NewAtom("u3")): 1,
-	}}
-	res, err := SolveCarry(gp, Options{CDNL: true}, carry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := modelKeys(res)
+	got, res := cdnlKeys(t, gp)
 	if !sameModels(got, modelKeys(want)) {
 		t.Fatalf("CDNL models %v, worklist %v", got, modelKeys(want))
 	}
@@ -259,75 +219,5 @@ p :- u1, u3.
 	}
 	if res.Stats.Backjumps == 0 {
 		t.Errorf("expected a non-chronological backjump, got %+v", res.Stats)
-	}
-}
-
-// TestCDNLClauseCarryReuse pins the cross-window contract at the solver level:
-// a repeat solve under the same carry replays learned clauses (ReusedClauses
-// rises, conflicts vanish), and Reset drops them again.
-func TestCDNLClauseCarryReuse(t *testing.T) {
-	src := `
-a :- not b.
-b :- not a.
-c :- a.
-d :- a.
-:- a, c.
-`
-	gp := groundSrc(t, src)
-	carry := &CarryState{}
-	got1, res1 := cdnlKeys(t, gp, carry)
-	if res1.Stats.Conflicts == 0 {
-		t.Fatalf("first solve should conflict on the a-branch, got %+v", res1.Stats)
-	}
-	if carry.Clauses() == 0 {
-		t.Fatal("first solve carried no clauses")
-	}
-	got2, res2 := cdnlKeys(t, gp, carry)
-	if !sameModels(got1, got2) {
-		t.Fatalf("answers changed under carry: %v vs %v", got1, got2)
-	}
-	if res2.Stats.ReusedClauses == 0 {
-		t.Errorf("repeat solve reused no clauses: %+v", res2.Stats)
-	}
-	if res2.Stats.Conflicts != 0 {
-		t.Errorf("carried unit clause should preempt the conflict, got %d conflicts", res2.Stats.Conflicts)
-	}
-	carry.Reset()
-	got3, res3 := cdnlKeys(t, gp, carry)
-	if !sameModels(got1, got3) {
-		t.Fatalf("answers changed after reset: %v vs %v", got1, got3)
-	}
-	if res3.Stats.ReusedClauses != 0 {
-		t.Errorf("reset carry still reused %d clauses", res3.Stats.ReusedClauses)
-	}
-}
-
-// TestCDNLCarryRootDropSound pins the subtlest premise-tracking obligation:
-// conflict analysis elides root-level literals from learned clauses, so the
-// clause's validity additionally depends on whatever forced those literals at
-// the root. Here c has no rules in the first program — it is falsified at the
-// root and dropped from the a-branch conflict clause — and the second program
-// gives c a choice rule while keeping every resolved rule intact. A carry
-// that fails to record the dropped literal's derivation replays a clause that
-// wrongly prunes the a-models.
-func TestCDNLCarryRootDropSound(t *testing.T) {
-	rules1 := []ast.Rule{
-		{Head: []ast.Atom{ast.NewAtom("a")}, Body: []ast.Literal{ast.Not(ast.NewAtom("b"))}},
-		{Head: []ast.Atom{ast.NewAtom("b")}, Body: []ast.Literal{ast.Not(ast.NewAtom("a"))}},
-		{Head: []ast.Atom{ast.NewAtom("x")}, Body: []ast.Literal{ast.Pos(ast.NewAtom("a")), ast.Not(ast.NewAtom("c"))}},
-		{Body: []ast.Literal{ast.Pos(ast.NewAtom("x")), ast.Pos(ast.NewAtom("a"))}},
-	}
-	gp1 := &ground.Program{Rules: rules1}
-	carry := &CarryState{}
-	got1, _ := cdnlKeys(t, gp1, carry)
-	if want := bruteForceChoice(gp1); !sameModels(got1, want) {
-		t.Fatalf("first solve diverges from brute force: %v vs %v", got1, want)
-	}
-	choice := ast.Rule{Head: []ast.Atom{ast.NewAtom("c")}, Choice: true,
-		Lower: ast.UnboundedChoice, Upper: ast.UnboundedChoice}
-	gp2 := &ground.Program{Rules: append(append([]ast.Rule(nil), rules1...), choice)}
-	got2, _ := cdnlKeys(t, gp2, carry)
-	if want := bruteForceChoice(gp2); !sameModels(got2, want) {
-		t.Fatalf("carried clause over a dropped root literal changed the answers: %v vs %v", got2, want)
 	}
 }

@@ -1,34 +1,17 @@
-// Learned-clause DB and cross-window carry.
+// Learned-clause DB.
 //
-// In-window, clauses (learned, loop, blocking) propagate by the standard
+// Clauses (learned, loop, blocking) propagate by the standard
 // two-watched-literal scheme — no counters to maintain, nothing to undo on
 // backjump — and the learned portion is kept in check by activity-based
-// forgetting with size/LBD caps, exactly the lifecycle modern CDCL solvers
-// use. Reasons currently on the trail and permanent clauses (blocking, loop)
-// are never deleted.
-//
-// Across windows, a clause survives through CarryState iff its premises
-// survive. Every learned clause records which parts of the program its
-// derivation relied on, in two forms: rule premises ("this exact ground rule
-// exists") and completion premises ("this atom has exactly this set of head
-// rules" — what support-based and loop inferences depend on, since a new
-// rule for the atom would add a support alternative the clause never
-// considered). Premises are stored structurally over interned atom IDs, so
-// the PR 3 rotation remap rewrites them in place and drops clauses touching
-// evicted atoms. At the next window, SolveCarry re-keys the current ground
-// rules and replays exactly the clauses whose premises still hold —
-// Stats.ReusedClauses counts them. Clauses whose derivation involved a
-// blocking clause (enumeration state, not program consequences) are tainted
-// and never carried.
+// forgetting, exactly the lifecycle modern CDCL solvers use. Reasons
+// currently on the trail, glue clauses (LBD <= 2) and permanent clauses
+// (blocking, loop) are never deleted. The DB lives for one Solve call: every
+// window starts from its own ground program with an empty DB.
 package solve
 
 import (
-	"encoding/binary"
 	"slices"
 	"sort"
-
-	"streamrule/internal/asp/ground"
-	"streamrule/internal/asp/intern"
 )
 
 // clause flags.
@@ -36,103 +19,31 @@ const (
 	fLearned  uint8 = 1 << iota // removable, counts against maxLearned
 	fLoop                       // loop nogood from unfounded detection
 	fBlocking                   // enumeration blocking clause
-	fTaint                      // derivation touched enumeration state: never carried
 	fDead                       // logically deleted, dropped lazily from watch lists
 )
 
-// clause is one stored clause over local literals. premRules and premComps
-// are local rule and atom indices — the premises its validity depends on.
+// clause is one stored clause over local literals.
 type clause struct {
-	lits      []int32
-	act       float64
-	lbd       int32
-	flags     uint8
-	premRules []int32
-	premComps []int32
+	lits  []int32
+	act   float64
+	lbd   int32
+	flags uint8
 }
 
-// premScratch accumulates the premises of one derivation with O(1) dedup.
-type premScratch struct {
-	rules    []int32
-	ruleSeen []bool
-	comps    []int32
-	compSeen []bool
-	taint    bool
-}
-
-// premCap bounds per-clause premise tracking: a derivation that touched more
-// of the program than this is simply not carried (tainted), rather than
-// hauling an unbounded premise list around.
-const premCap = 48
-
-func (p *premScratch) init(nRules, nAtoms int) {
-	p.ruleSeen = make([]bool, nRules)
-	p.compSeen = make([]bool, nAtoms)
-}
-
-func (p *premScratch) reset() {
-	for _, r := range p.rules {
-		p.ruleSeen[r] = false
-	}
-	for _, c := range p.comps {
-		p.compSeen[c] = false
-	}
-	p.rules = p.rules[:0]
-	p.comps = p.comps[:0]
-	p.taint = false
-}
-
-func (p *premScratch) addRule(ri int32) {
-	if !p.ruleSeen[ri] {
-		p.ruleSeen[ri] = true
-		p.rules = append(p.rules, ri)
-	}
-}
-
-func (p *premScratch) addComp(a int32) {
-	if !p.compSeen[a] {
-		p.compSeen[a] = true
-		p.comps = append(p.comps, a)
-	}
-}
-
-func (p *premScratch) addClausePrem(c *clause) {
-	if c.flags&fTaint != 0 {
-		p.taint = true
-	}
-	for _, r := range c.premRules {
-		p.addRule(r)
-	}
-	for _, a := range c.premComps {
-		p.addComp(a)
-	}
-}
-
-// addClauseFromScratch stores a clause whose premises sit in cd.prem,
-// attaching watches on lits[0] and lits[1] (callers order lits[1] to be the
-// deepest-level non-asserting literal). Length-1 clauses get no watches; the
-// caller asserts them directly.
-func (cd *cdnl) addClauseFromScratch(lits []int32, flags uint8) int32 {
-	c := clause{
+// addClause stores a clause, attaching watches on lits[0] and lits[1]
+// (callers order lits[1] to be the deepest-level non-asserting literal).
+// Length-1 clauses get no watches; the caller asserts them directly.
+func (cd *cdnl) addClause(lits []int32, flags uint8) int32 {
+	ci := int32(len(cd.db))
+	cd.db = append(cd.db, clause{
 		lits:  slices.Clone(lits),
 		act:   cd.claInc,
 		lbd:   cd.computeLBD(lits),
 		flags: flags,
-	}
-	if cd.prem.taint {
-		c.flags |= fTaint
-	}
-	if len(cd.prem.rules)+len(cd.prem.comps) > premCap {
-		c.flags |= fTaint
-	} else if c.flags&fTaint == 0 {
-		c.premRules = slices.Clone(cd.prem.rules)
-		c.premComps = slices.Clone(cd.prem.comps)
-	}
-	ci := int32(len(cd.db))
-	cd.db = append(cd.db, c)
-	if len(c.lits) >= 2 {
-		cd.watch[c.lits[0]] = append(cd.watch[c.lits[0]], ci)
-		cd.watch[c.lits[1]] = append(cd.watch[c.lits[1]], ci)
+	})
+	if len(lits) >= 2 {
+		cd.watch[lits[0]] = append(cd.watch[lits[0]], ci)
+		cd.watch[lits[1]] = append(cd.watch[lits[1]], ci)
 	}
 	return ci
 }
@@ -181,7 +92,6 @@ func (cd *cdnl) reduceDB() {
 		}
 		c.flags |= fDead
 		c.lits = nil
-		c.premRules, c.premComps = nil, nil
 		cd.learnedLive--
 	}
 	cd.maxLearned += cd.maxLearned / 2
@@ -241,403 +151,4 @@ func (cd *cdnl) propWatches() bool {
 		cd.watch[fl] = ws[:j]
 	}
 	return true
-}
-
-// --- cross-window carry -----------------------------------------------------
-
-// premRule is a structural copy of one ground rule in interned-atom space,
-// canonically sorted so equal rules serialize to equal keys.
-type premRule struct {
-	choice         bool
-	lo, hi         int
-	head, pos, neg []intern.AtomID
-}
-
-// carriedClause is one clause in carry form: literals and premises over
-// interned atom IDs.
-type carriedClause struct {
-	lits      []carryLit
-	act       float64
-	lbd       int32
-	loop      bool
-	premRules []int32    // CarryState.pool indices: these rules must exist
-	premComps []compPrem // these atoms must keep exactly these head rules
-}
-
-type carryLit struct {
-	atom intern.AtomID
-	pos  bool
-}
-
-type compPrem struct {
-	atom  intern.AtomID
-	rules []int32 // CarryState.pool indices
-}
-
-// CarryState holds solver state that survives between windows: carried
-// clauses with their premises, and branching activity per atom. The zero
-// value is ready to use. A CarryState belongs to one solving sequence (one
-// reasoner); it must not be shared across concurrent solves.
-type CarryState struct {
-	pool    []premRule
-	clauses []carriedClause
-	act     map[intern.AtomID]float64
-}
-
-// Reset drops all carried state — used after a fallback or reseed, when the
-// continuity the premises assume is gone anyway.
-func (cs *CarryState) Reset() { *cs = CarryState{} }
-
-// Clauses reports how many clauses are currently carried.
-func (cs *CarryState) Clauses() int { return len(cs.clauses) }
-
-// Remap rewrites the carried state through a table rotation's remap,
-// dropping clauses that reference evicted atoms (their premises or literals
-// no longer exist).
-func (cs *CarryState) Remap(rm *intern.Remap) {
-	poolDead := make([]bool, len(cs.pool))
-	for i := range cs.pool {
-		p := &cs.pool[i]
-		for _, list := range [][]intern.AtomID{p.head, p.pos, p.neg} {
-			for j, id := range list {
-				nid, ok := rm.Atom(id)
-				if !ok {
-					poolDead[i] = true
-					break
-				}
-				list[j] = nid
-			}
-			if poolDead[i] {
-				break
-			}
-		}
-	}
-	kept := cs.clauses[:0]
-clauses:
-	for _, c := range cs.clauses {
-		for i, l := range c.lits {
-			nid, ok := rm.Atom(l.atom)
-			if !ok {
-				continue clauses
-			}
-			c.lits[i].atom = nid
-		}
-		for _, pi := range c.premRules {
-			if poolDead[pi] {
-				continue clauses
-			}
-		}
-		for i := range c.premComps {
-			cp := &c.premComps[i]
-			nid, ok := rm.Atom(cp.atom)
-			if !ok {
-				continue clauses
-			}
-			cp.atom = nid
-			for _, pi := range cp.rules {
-				if poolDead[pi] {
-					continue clauses
-				}
-			}
-		}
-		kept = append(kept, c)
-	}
-	cs.clauses = kept
-	if cs.act != nil {
-		act := make(map[intern.AtomID]float64, len(cs.act))
-		for id, v := range cs.act {
-			if nid, ok := rm.Atom(id); ok {
-				act[nid] = v
-			}
-		}
-		cs.act = act
-	}
-}
-
-// ruleKeyOf serializes a premRule canonically (sorted atom lists; choice
-// heads keep multiplicity because cardinality bounds count occurrences).
-func ruleKeyOf(p *premRule, buf []byte) ([]byte, string) {
-	buf = buf[:0]
-	if p.choice {
-		buf = append(buf, 1)
-		buf = binary.AppendVarint(buf, int64(p.lo))
-		buf = binary.AppendVarint(buf, int64(p.hi))
-	} else {
-		buf = append(buf, 0)
-	}
-	app := func(ids []intern.AtomID) {
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
-		for _, id := range ids {
-			buf = binary.AppendUvarint(buf, uint64(id))
-		}
-	}
-	app(p.head)
-	app(p.pos)
-	app(p.neg)
-	return buf, string(buf)
-}
-
-// canonIDs sorts (and, unless keepDup, dedups) an atom-ID list in place.
-func canonIDs(ids []intern.AtomID, keepDup bool) []intern.AtomID {
-	slices.Sort(ids)
-	if !keepDup {
-		ids = slices.Compact(ids)
-	}
-	return ids
-}
-
-// premOfIRule builds the canonical premRule of a ground rule.
-func premOfIRule(r *ground.IRule) premRule {
-	p := premRule{choice: r.Choice, lo: r.Lower, hi: r.Upper}
-	p.head = canonIDs(slices.Clone(r.Head), r.Choice)
-	p.pos = canonIDs(slices.Clone(r.Pos), false)
-	p.neg = canonIDs(slices.Clone(r.Neg), false)
-	return p
-}
-
-// premOfLocalRule builds the canonical premRule of a local solver rule.
-func (cd *cdnl) premOfLocalRule(ri int32) premRule {
-	r := &cd.s.rules[ri]
-	conv := func(l []int) []intern.AtomID {
-		out := make([]intern.AtomID, len(l))
-		for i, a := range l {
-			out[i] = cd.s.ids[a]
-		}
-		return out
-	}
-	p := premRule{choice: r.choice, lo: r.lo, hi: r.hi}
-	p.head = canonIDs(conv(r.head), r.choice)
-	p.pos = canonIDs(conv(r.pos), false)
-	p.neg = canonIDs(conv(r.neg), false)
-	return p
-}
-
-// prepare wires the engine for one window: stability mode, SCCs, decision
-// activity (seeded from occurrence counts, overridden by carried activity),
-// and the replay of carried clauses whose premises still hold.
-func (cd *cdnl) prepare(carry *CarryState, ruleIDs []ground.IRule, local []int32) {
-	s := cd.s
-	cd.localOf = local
-	for i := range s.rules {
-		r := &s.rules[i]
-		if !r.choice && len(r.head) > 1 {
-			cd.checkStability = true
-			break
-		}
-	}
-	if !cd.checkStability {
-		cd.buildSCCs()
-	}
-	// Base activity mirrors the worklist branch order (occurrence count) at
-	// a scale carried activity dominates.
-	for a := 0; a < cd.n; a++ {
-		occ := len(s.occHead.of(a)) + len(s.occPos.of(a)) + len(s.occNeg.of(a))
-		cd.act[a] = float64(occ) * 1e-9
-	}
-	if carry != nil && carry.act != nil {
-		for id, v := range carry.act {
-			if int(id) < len(local) && local[id] >= 0 {
-				cd.act[local[id]] += v
-			}
-		}
-	}
-	for a := 0; a < cd.n; a++ {
-		cd.heapPush(int32(a))
-	}
-	if carry != nil && len(carry.clauses) > 0 {
-		cd.carryIn(carry)
-	}
-}
-
-// carryIn replays carried clauses whose premises survive into this window.
-func (cd *cdnl) carryIn(cs *CarryState) {
-	s := cd.s
-	// Key every current rule; remember one local index per key for premise
-	// re-grounding.
-	keyToRule := make(map[string]int32, len(s.rules))
-	var kb []byte
-	for ri := range s.rules {
-		p := cd.premOfLocalRule(int32(ri))
-		var key string
-		kb, key = ruleKeyOf(&p, kb)
-		if _, ok := keyToRule[key]; !ok {
-			keyToRule[key] = int32(ri)
-		}
-	}
-	poolKey := make([]string, len(cs.pool))
-	for i := range cs.pool {
-		var key string
-		kb, key = ruleKeyOf(&cs.pool[i], kb)
-		poolKey[i] = key
-	}
-	// Current head-rule digest per local atom, built lazily: the sorted key
-	// multiset of the atom's head rules.
-	headDigest := make(map[int32]string)
-	digestOf := func(a int32) string {
-		if d, ok := headDigest[a]; ok {
-			return d
-		}
-		keys := make([]string, 0, 4)
-		for _, ri := range s.occHead.of(int(a)) {
-			p := cd.premOfLocalRule(ri)
-			var key string
-			kb, key = ruleKeyOf(&p, kb)
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		d := ""
-		for _, k := range keys {
-			d += k
-		}
-		headDigest[a] = d
-		return d
-	}
-	poolDigest := func(pis []int32) (string, bool) {
-		keys := make([]string, 0, len(pis))
-		for _, pi := range pis {
-			if _, ok := keyToRule[poolKey[pi]]; !ok {
-				return "", false
-			}
-			keys = append(keys, poolKey[pi])
-		}
-		sort.Strings(keys)
-		d := ""
-		for _, k := range keys {
-			d += k
-		}
-		return d, true
-	}
-	local := cd.localOf
-clauses:
-	for i := range cs.clauses {
-		c := &cs.clauses[i]
-		cd.prem.reset()
-		for _, pi := range c.premRules {
-			ri, ok := keyToRule[poolKey[pi]]
-			if !ok {
-				continue clauses
-			}
-			cd.prem.addRule(ri)
-		}
-		for _, cp := range c.premComps {
-			if int(cp.atom) >= len(local) || local[cp.atom] < 0 {
-				continue clauses
-			}
-			la := local[cp.atom]
-			want, ok := poolDigest(cp.rules)
-			if !ok || want != digestOf(la) {
-				continue clauses
-			}
-			cd.prem.addComp(la)
-		}
-		lits := make([]int32, 0, len(c.lits))
-		for _, l := range c.lits {
-			if int(l.atom) >= len(local) || local[l.atom] < 0 {
-				continue clauses
-			}
-			lits = append(lits, mkLit(int(local[l.atom]), l.pos))
-		}
-		flags := fLearned
-		if c.loop {
-			flags = fLoop
-		}
-		ci := cd.addClauseFromScratch(lits, flags)
-		cd.db[ci].act = c.act
-		cd.db[ci].lbd = c.lbd
-		if flags&fLearned != 0 {
-			cd.learnedLive++
-		}
-		if len(lits) == 1 {
-			cd.units = append(cd.units, ci)
-		}
-		s.out.Stats.ReusedClauses++
-	}
-}
-
-// Carry caps: clauses longer or weaker than this are cheaper to relearn than
-// to haul across windows.
-const (
-	carryMaxLen     = 32
-	carryMaxLBD     = 8
-	carryMaxClauses = 2000
-)
-
-// carryOut rebuilds the CarryState from this window's surviving clauses and
-// activity.
-func (cd *cdnl) carryOut(cs *CarryState) {
-	s := cd.s
-	type cand struct {
-		ci  int32
-		act float64
-	}
-	var cands []cand
-	for ci := range cd.db {
-		c := &cd.db[ci]
-		if c.flags&(fDead|fTaint|fBlocking) != 0 {
-			continue
-		}
-		if c.flags&(fLearned|fLoop) == 0 {
-			continue
-		}
-		if len(c.lits) > carryMaxLen || len(c.lits) == 0 {
-			continue
-		}
-		if c.flags&fLoop == 0 && c.lbd > carryMaxLBD {
-			continue
-		}
-		cands = append(cands, cand{int32(ci), c.act})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].act > cands[j].act })
-	if len(cands) > carryMaxClauses {
-		cands = cands[:carryMaxClauses]
-	}
-	var pool []premRule
-	poolIdx := make(map[string]int32)
-	var kb []byte
-	intoPool := func(ri int32) int32 {
-		p := cd.premOfLocalRule(ri)
-		var key string
-		kb, key = ruleKeyOf(&p, kb)
-		if i, ok := poolIdx[key]; ok {
-			return i
-		}
-		i := int32(len(pool))
-		pool = append(pool, p)
-		poolIdx[key] = i
-		return i
-	}
-	clauses := make([]carriedClause, 0, len(cands))
-	for _, cn := range cands {
-		c := &cd.db[cn.ci]
-		cc := carriedClause{
-			act:  c.act,
-			lbd:  c.lbd,
-			loop: c.flags&fLoop != 0,
-		}
-		cc.lits = make([]carryLit, len(c.lits))
-		for i, l := range c.lits {
-			cc.lits[i] = carryLit{atom: s.ids[litAtom(l)], pos: litPos(l)}
-		}
-		for _, ri := range c.premRules {
-			cc.premRules = append(cc.premRules, intoPool(ri))
-		}
-		for _, la := range c.premComps {
-			cp := compPrem{atom: s.ids[la]}
-			for _, ri := range s.occHead.of(int(la)) {
-				cp.rules = append(cp.rules, intoPool(ri))
-			}
-			cc.premComps = append(cc.premComps, cp)
-		}
-		clauses = append(clauses, cc)
-	}
-	act := make(map[intern.AtomID]float64, cd.n)
-	inv := 1 / cd.varInc
-	for a := 0; a < cd.n; a++ {
-		if v := cd.act[a] * inv; v > 1e-12 {
-			act[s.ids[a]] = v
-		}
-	}
-	cs.pool = pool
-	cs.clauses = clauses
-	cs.act = act
 }

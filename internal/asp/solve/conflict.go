@@ -6,25 +6,18 @@
 // when analysis actually resolves the atom. Reconstruction is sound because
 // the trail only grows between an implication and the conflict that analyzes
 // it, so the antecedents that held at implication time are recovered by
-// filtering on trail position. Each reconstruction also reports its premises
-// (the ground rules or atom completions the implication relied on) into the
-// analysis scratch, so the learned clause knows exactly which parts of the
-// program its validity depends on — the information cross-window carry needs
-// (clausedb.go).
+// filtering on trail position.
 package solve
 
 // antecedents appends the antecedent literals — all false, all assigned
-// before trail position p — of an implication of atom a with reason (k, i),
-// and records the reason's premises into cd.prem. The implied literal itself
-// is excluded.
+// before trail position p — of an implication of atom a with reason (k, i).
+// The implied literal itself is excluded.
 func (cd *cdnl) antecedents(k uint8, i int32, a int, p int32, buf []int32) []int32 {
 	s := cd.s
 	switch k {
 	case rkRule:
-		cd.prem.addRule(i)
 		return cd.ruleClause(i, a, buf)
 	case rkChoice:
-		cd.prem.addRule(i)
 		r := &s.rules[i]
 		for _, b := range r.pos {
 			buf = append(buf, mkLit(b, false))
@@ -49,14 +42,12 @@ func (cd *cdnl) antecedents(k uint8, i int32, a int, p int32, buf []int32) []int
 		}
 		return buf
 	case rkSupport:
-		cd.prem.addComp(int32(a))
 		for _, ri := range s.occHead.of(a) {
 			buf = cd.appendKiller(ri, a, p, buf)
 		}
 		return buf
 	case rkClause:
 		c := &cd.db[i]
-		cd.prem.addClausePrem(c)
 		cd.bumpCla(i)
 		for _, q := range c.lits {
 			if litAtom(q) != a {
@@ -69,14 +60,13 @@ func (cd *cdnl) antecedents(k uint8, i int32, a int, p int32, buf []int32) []int
 }
 
 // analyze performs 1UIP resolution starting from the conflict clause in
-// cd.cLits (premises pre-seeded in cd.prem). It returns the asserting clause
-// — learnt[0] is the asserting literal, learnt[1] the highest-level other
-// literal — and the backjump level. The caller must already be at the level
-// of the deepest conflict literal.
+// cd.cLits. It returns the asserting clause — learnt[0] is the asserting
+// literal, learnt[1] the highest-level other literal — and the backjump
+// level. The caller must already be at the level of the deepest conflict
+// literal.
 func (cd *cdnl) analyze() (learnt []int32, bj int32) {
 	s := cd.s
 	cur := cd.curLevel()
-	cd.rootEpoch++
 	learnt = append(cd.outLearnt[:0], 0) // slot 0: asserting literal
 	counter := 0
 	idx := len(s.trail) - 1
@@ -91,16 +81,6 @@ func (cd *cdnl) analyze() (learnt []int32, bj int32) {
 					counter++
 				} else {
 					learnt = append(learnt, q)
-				}
-			} else if !cd.seen[qa] && cd.level[qa] == 0 {
-				// Elided root-level literal: the clause's validity silently
-				// depends on whatever forced it, so that derivation's
-				// premises must be recorded too (or, when the derivation
-				// involves enumeration state, the clause tainted).
-				if cd.atomTaint[qa] {
-					cd.prem.taint = true
-				} else {
-					cd.rootPremises(qa)
 				}
 			}
 		}
@@ -132,28 +112,6 @@ func (cd *cdnl) analyze() (learnt []int32, bj int32) {
 	}
 	cd.outLearnt = learnt
 	return learnt, bj
-}
-
-// rootPremises records, transitively, the premises of a root-level
-// assignment that analysis elides from a learned clause. Root assignments
-// are always implications (there are no decisions at level 0), so the walk
-// follows recorded reasons; every antecedent it meets is itself at the root.
-// The epoch stamp dedups work within one analyze call only — premise scratch
-// is per-clause, so atoms must be revisited for the next learned clause.
-func (cd *cdnl) rootPremises(a int) {
-	cd.rootStack = append(cd.rootStack[:0], int32(a))
-	for len(cd.rootStack) > 0 {
-		a := int(cd.rootStack[len(cd.rootStack)-1])
-		cd.rootStack = cd.rootStack[:len(cd.rootStack)-1]
-		if cd.rootStamp[a] == cd.rootEpoch {
-			continue
-		}
-		cd.rootStamp[a] = cd.rootEpoch
-		cd.rootBuf = cd.antecedents(cd.reasonK[a], cd.reasonI[a], a, cd.posIn[a], cd.rootBuf[:0])
-		for _, q := range cd.rootBuf {
-			cd.rootStack = append(cd.rootStack, int32(litAtom(q)))
-		}
-	}
 }
 
 // computeLBD returns the number of distinct decision levels among the
@@ -196,11 +154,7 @@ func (cd *cdnl) resolveConflict() bool {
 		s.out.Stats.Backjumps++
 	}
 	cd.cancelUntil(bj)
-	flags := fLearned
-	if cd.prem.taint {
-		flags |= fTaint
-	}
-	ci := cd.addClauseFromScratch(learnt, flags)
+	ci := cd.addClause(learnt, fLearned)
 	s.out.Stats.Learned++
 	cd.learnedLive++
 	cd.imply(cd.db[ci].lits[0], rkClause, ci)

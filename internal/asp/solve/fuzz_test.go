@@ -137,7 +137,7 @@ func decodeResidualProgram(data []byte) *ground.Program {
 // stability verdicts — every candidate both submit passes or fails the same
 // reduct test, pinned by equal model AND stability-check counts; the CDNL
 // engine is exempt from that count (skipping those checks is its contract)
-// but is solved twice under one CarryState, so clause carry is fuzzed too.
+// and is held to the naive engine's models.
 // Every program — bounded choice rules included — is checked against the
 // brute-force reduct-minimality oracle.
 func FuzzSolveResidual(f *testing.F) {
@@ -184,22 +184,17 @@ func FuzzSolveResidual(f *testing.F) {
 			t.Fatalf("stability checks: event %d, naive %d\nrules: %v",
 				ev.Stats.StabilityChecks, nv.Stats.StabilityChecks, gp.Rules)
 		}
-		// CDNL, twice under one carry: the repeat replays whatever the first
-		// pass learned, so an unsound carried clause diverges here.
-		carry := &CarryState{}
-		for pass := 0; pass < 2; pass++ {
-			cdl, err := SolveCarry(gp, Options{CDNL: true}, carry)
-			if err != nil {
-				t.Fatalf("CDNL engine (pass %d): %v", pass, err)
-			}
-			cdKeys := modelKeys(cdl)
-			if len(cdKeys) != len(evKeys) {
-				t.Fatalf("CDNL pass %d model count: %v, worklist %v\nrules: %v", pass, cdKeys, evKeys, gp.Rules)
-			}
-			for i := range evKeys {
-				if !slices.Equal(cdKeys[i], evKeys[i]) {
-					t.Fatalf("CDNL pass %d model %d: %v, worklist %v\nrules: %v", pass, i, cdKeys[i], evKeys[i], gp.Rules)
-				}
+		cdl, err := Solve(gp, Options{CDNL: true})
+		if err != nil {
+			t.Fatalf("CDNL engine: %v", err)
+		}
+		cdKeys := modelKeys(cdl)
+		if len(cdKeys) != len(nvKeys) {
+			t.Fatalf("CDNL model count: %v, naive %v\nrules: %v", cdKeys, nvKeys, gp.Rules)
+		}
+		for i := range nvKeys {
+			if !slices.Equal(cdKeys[i], nvKeys[i]) {
+				t.Fatalf("CDNL model %d: %v, naive %v\nrules: %v", i, cdKeys[i], nvKeys[i], gp.Rules)
 			}
 		}
 		want := bruteForceChoice(gp)

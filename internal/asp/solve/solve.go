@@ -56,8 +56,8 @@ type Options struct {
 	// oracles); only the work profile differs, and under a MaxModels cap
 	// the enumerated prefix may differ because decisions follow dynamic
 	// activity. Ignored when NaivePropagation is set — the naive engine is
-	// the oracle and stays untouched. Pair with SolveCarry to reuse learned
-	// clauses and activity across overlapping windows.
+	// the oracle and stays untouched. Learned clauses and activity live for
+	// one Solve call.
 	CDNL bool
 }
 
@@ -99,9 +99,8 @@ type Stats struct {
 	// detection — positive loops refuted during propagation rather than at
 	// the stability check (CDNL only).
 	LoopNogoods int
-	// ReusedClauses counts clauses replayed from a previous window's
-	// CarryState whose premises were still intact (CDNL only; 0 on the
-	// first window and after a carry reset).
+	// ReusedClauses is always 0: no solver state crosses Solve calls. It
+	// is kept because the benchmark's counter set reads it.
 	ReusedClauses int
 }
 
@@ -333,18 +332,6 @@ func (s *AnswerSet) String() string {
 
 // Solve computes the answer sets of the ground program.
 func Solve(gp *ground.Program, opts Options) (*Result, error) {
-	return SolveCarry(gp, opts, nil)
-}
-
-// SolveCarry computes the answer sets of the ground program, reusing and
-// refreshing cross-window solver state. With Options.CDNL set and a non-nil
-// carry, learned clauses from earlier windows whose premises (the exact
-// ground rules their derivations relied on) still hold in gp are replayed
-// before the search starts, and the clauses and branching activity learned
-// on gp are written back for the next window. A nil carry (or a non-CDNL
-// engine) makes SolveCarry identical to Solve. The carry is owned by one
-// solving sequence: it must not be shared across concurrent solves.
-func SolveCarry(gp *ground.Program, opts Options, carry *CarryState) (*Result, error) {
 	res := &Result{}
 	if gp.Inconsistent {
 		// The grounder proved the certain atoms violate a constraint: no
@@ -416,11 +403,7 @@ func SolveCarry(gp *ground.Program, opts Options, carry *CarryState) (*Result, e
 	s.init(len(s.ids))
 	if opts.CDNL && !opts.NaivePropagation {
 		s.cd = newCDNL(s)
-		s.cd.prepare(carry, ruleIDs, local)
 		s.searchCDNL()
-		if carry != nil {
-			s.cd.carryOut(carry)
-		}
 		return res, nil
 	}
 	s.search(0)

@@ -20,11 +20,7 @@
 // atom of U needs a well-founded derivation, whose first rule outside U is
 // external and has a satisfied body, contradicting every killer being false.
 // (For disjunctive programs that argument breaks, so the engine skips this
-// pass and verifies candidates with the reduct test instead.) The premises of
-// a loop nogood are the completions of the atoms of U: as long as every atom
-// of U keeps exactly the same head rules, the external-rule set and the
-// killer correspondence are unchanged, so the clause may be carried across
-// windows.
+// pass and verifies candidates with the reduct test instead.)
 //
 // Dirtiness is event-driven: a component is re-examined only after a rule
 // with a head in it lost its body (bf 0→1, hooked in sourceDiedBody) —
@@ -295,11 +291,7 @@ func (cd *cdnl) checkSCC(scc int32) (progress, ok bool) {
 				lits[1], lits[i] = lits[i], lits[1]
 			}
 		}
-		cd.prem.reset()
-		for _, x := range u {
-			cd.prem.addComp(x)
-		}
-		ci := cd.addClauseFromScratch(lits, fLoop)
+		ci := cd.addClause(lits, fLoop)
 		s.out.Stats.LoopNogoods++
 		if s.assign[a] == tru {
 			cd.noteClauseConflict(ci)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"streamrule/internal/asp/ground"
 	"streamrule/internal/asp/parser"
@@ -93,9 +94,11 @@ func TestResidualWorkloadShape(t *testing.T) {
 
 // BenchmarkSolverResidual isolates the solver on the residual workload's
 // ground programs: the same program is re-solved per iteration, comparing
-// the counter/worklist engine against the NaivePropagation rescan baseline.
-// "rule-visits" is the per-op propagation work; the ratio between the two
-// variants is the headline of the event-driven rewrite.
+// the counter/worklist engine against the NaivePropagation rescan baseline
+// and the CDNL engine. "rule-visits" is the per-op propagation work; the
+// ratio between worklist and naive is the headline of the event-driven
+// rewrite. "stability-checks" is the reduct-test work CDNL's unfounded-set
+// detection replaces.
 func BenchmarkSolverResidual(b *testing.B) {
 	for _, size := range []int{2000, 5000} {
 		gp := residualGround(b, size)
@@ -105,10 +108,11 @@ func BenchmarkSolverResidual(b *testing.B) {
 		}{
 			{"worklist", solve.Options{}},
 			{"naive", solve.Options{NaivePropagation: true}},
+			{"cdnl", solve.Options{CDNL: true}},
 		} {
 			b.Run(fmt.Sprintf("%s/w%dk", variant.name, size/1000), func(b *testing.B) {
 				b.ReportAllocs()
-				var visits, pushes, repairs float64
+				var visits, pushes, repairs, checks float64
 				for i := 0; i < b.N; i++ {
 					res, err := solve.Solve(gp, variant.opts)
 					if err != nil {
@@ -120,24 +124,81 @@ func BenchmarkSolverResidual(b *testing.B) {
 					visits += float64(res.Stats.RuleVisits)
 					pushes += float64(res.Stats.QueuePushes)
 					repairs += float64(res.Stats.SourceRepairs)
+					checks += float64(res.Stats.StabilityChecks)
 				}
 				b.ReportMetric(visits/float64(b.N), "rule-visits")
 				b.ReportMetric(pushes/float64(b.N), "queue-pushes")
 				b.ReportMetric(repairs/float64(b.N), "source-repairs")
+				b.ReportMetric(checks/float64(b.N), "stability-checks")
 			})
 		}
 	}
 }
 
-// fig7ResidualBaselinePath holds the committed allocs/op snapshot of the
-// Fig7Residual R path (reasoner.R over ProgramResidual x ResidualTraffic at
-// w2k), the regression gate CI enforces.
-const fig7ResidualBaselinePath = "testdata/fig7residual_allocs.txt"
+// TestCDNLSolverAcceptance pins the headline claim of the CDNL engine on
+// the acceptance workload (residual ground program at w5k): CDNL returns
+// exactly the models of the naive oracle while solving faster than the
+// worklist engine, with strictly fewer stability checks. Timing is best-of-5
+// per engine to shrug off scheduler noise.
+func TestCDNLSolverAcceptance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison: skipped in -short")
+	}
+	gp := residualGround(t, 5000)
+	naive, err := solve.Solve(gp, solve.Options{NaivePropagation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := func(opts solve.Options) (time.Duration, *solve.Result) {
+		var bestD time.Duration
+		var res *solve.Result
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			r, err := solve.Solve(gp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); res == nil || d < bestD {
+				bestD, res = d, r
+			}
+		}
+		return bestD, res
+	}
+	wlD, wl := best(solve.Options{})
+	cdnlD, cdnl := best(solve.Options{CDNL: true})
 
-// TestFig7ResidualAllocBudget fails when the Fig7Residual R path allocates
-// more than 10% above the committed baseline snapshot — the alloc-regression
-// gate for the residual solver. Regenerate the snapshot (after an intended
-// change) by running the test with UPDATE_RESIDUAL_BASELINE=1.
+	if len(cdnl.Models) != len(naive.Models) {
+		t.Fatalf("models: cdnl %d, naive %d", len(cdnl.Models), len(naive.Models))
+	}
+	for i, m := range cdnl.Models {
+		found := false
+		for _, n := range naive.Models {
+			if m.Equal(n) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("cdnl model %d not among naive models", i)
+		}
+	}
+	if cdnl.Stats.StabilityChecks >= wl.Stats.StabilityChecks {
+		t.Errorf("stability checks: cdnl %d, worklist %d — unfounded-set detection should eliminate reduct tests",
+			cdnl.Stats.StabilityChecks, wl.Stats.StabilityChecks)
+	}
+	if cdnlD >= wlD {
+		t.Errorf("solve time: cdnl %v, worklist %v — CDNL should win on the residual workload", cdnlD, wlD)
+	}
+	t.Logf("w5k solve: cdnl %v (checks %d) vs worklist %v (checks %d), %d models",
+		cdnlD, cdnl.Stats.StabilityChecks, wlD, wl.Stats.StabilityChecks, len(cdnl.Models))
+}
+
+// TestFig7ResidualAllocBudget fails when the Fig7Residual R path
+// (reasoner.R over ProgramResidual x ResidualTraffic at w2k) allocates more
+// than 10% above its committed allocs/op snapshot — the alloc-regression
+// gate for each search engine, one snapshot per engine. Regenerate the
+// snapshots (after an intended change) by running the test with
+// UPDATE_RESIDUAL_BASELINE=1.
 func TestFig7ResidualAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark: skipped in -short")
@@ -146,52 +207,61 @@ func TestFig7ResidualAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := reasoner.Config{Program: prog, Inpre: Inpre}
-	r, err := reasoner.NewR(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen, err := workload.NewGenerator(2000, workload.ResidualTraffic())
 	if err != nil {
 		t.Fatal(err)
 	}
 	window := gen.Window(2000)
-	// Warm the interning table and grounding scratch so the measurement is
-	// the steady-state per-window cost, as in the Fig7Residual benchmark.
-	for i := 0; i < 2; i++ {
-		if _, err := r.Process(window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Process(window); err != nil {
-				b.Fatal(err)
+	for _, eng := range []struct {
+		name, baseline string
+		opts           solve.Options
+	}{
+		{"worklist", "testdata/fig7residual_allocs.txt", solve.Options{}},
+		{"cdnl", "testdata/fig7residual_cdnl_allocs.txt", solve.Options{CDNL: true}},
+	} {
+		t.Run(eng.name, func(t *testing.T) {
+			r, err := reasoner.NewR(reasoner.Config{Program: prog, Inpre: Inpre, SolveOpts: eng.opts})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	got := res.AllocsPerOp()
+			// Warm the interning table and grounding scratch so the
+			// measurement is the steady-state per-window cost.
+			for i := 0; i < 2; i++ {
+				if _, err := r.Process(window); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Process(window); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			got := res.AllocsPerOp()
 
-	if os.Getenv("UPDATE_RESIDUAL_BASELINE") != "" {
-		if err := os.WriteFile(fig7ResidualBaselinePath, []byte(fmt.Sprintf("%d\n", got)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("baseline updated: %d allocs/op", got)
-		return
+			if os.Getenv("UPDATE_RESIDUAL_BASELINE") != "" {
+				if err := os.WriteFile(eng.baseline, []byte(fmt.Sprintf("%d\n", got)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("baseline updated: %d allocs/op", got)
+				return
+			}
+			raw, err := os.ReadFile(eng.baseline)
+			if err != nil {
+				t.Fatalf("missing baseline snapshot (run with UPDATE_RESIDUAL_BASELINE=1): %v", err)
+			}
+			baseline, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
+			if err != nil {
+				t.Fatalf("corrupt baseline snapshot %q: %v", raw, err)
+			}
+			limit := baseline + baseline/10
+			if got > limit {
+				t.Errorf("Fig7Residual R/w2k (%s) allocates %d allocs/op, > committed baseline %d +10%% (%d)",
+					eng.name, got, baseline, limit)
+			}
+			t.Logf("allocs/op: %d (baseline %d, limit %d)", got, baseline, limit)
+		})
 	}
-	raw, err := os.ReadFile(fig7ResidualBaselinePath)
-	if err != nil {
-		t.Fatalf("missing baseline snapshot (run with UPDATE_RESIDUAL_BASELINE=1): %v", err)
-	}
-	baseline, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
-	if err != nil {
-		t.Fatalf("corrupt baseline snapshot %q: %v", raw, err)
-	}
-	limit := baseline + baseline/10
-	if got > limit {
-		t.Errorf("Fig7Residual R/w2k allocates %d allocs/op, > committed baseline %d +10%% (%d)",
-			got, baseline, limit)
-	}
-	t.Logf("allocs/op: %d (baseline %d, limit %d)", got, baseline, limit)
 }

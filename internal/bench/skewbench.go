@@ -43,11 +43,10 @@ type SkewRow struct {
 	CPMs float64 `json:"cp_ms"`
 	// Windows is the number of window emissions processed.
 	Windows int `json:"windows"`
-	// Moves/Splits/PlanRefines/RefusedSplits are the rebalancer's decision
-	// counters (zero for the static run).
+	// Moves/Splits/RefusedSplits are the rebalancer's decision counters
+	// (zero for the static run).
 	Moves         int64 `json:"moves"`
 	Splits        int64 `json:"splits"`
-	PlanRefines   int64 `json:"plan_refines"`
 	RefusedSplits int64 `json:"refused_splits"`
 	// Joins/Leaves count elastic fleet changes during the run.
 	Joins  int64 `json:"joins"`
@@ -201,7 +200,6 @@ func RunSkewBench(cfg SkewBenchConfig) ([]SkewRow, error) {
 			Windows:       len(emissions),
 			Moves:         rs.Moves,
 			Splits:        rs.Splits,
-			PlanRefines:   rs.PlanRefines,
 			RefusedSplits: rs.RefusedSplits,
 			Joins:         rs.Joins,
 			Leaves:        rs.Leaves,

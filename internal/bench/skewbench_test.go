@@ -33,7 +33,7 @@ func TestSkewBenchSmoke(t *testing.T) {
 		}
 	}
 	st, ad := bysys["DPR_static"], bysys["DPR_adaptive"]
-	if st.Moves+st.Splits+st.PlanRefines+st.Joins+st.Leaves != 0 {
+	if st.Moves+st.Splits+st.Joins+st.Leaves != 0 {
 		t.Errorf("static run reports rebalancing: %+v", st)
 	}
 	if ad.Joins != 1 || ad.Leaves != 1 {
@@ -82,9 +82,9 @@ func TestSkewBenchAdaptiveBeatsStatic(t *testing.T) {
 			t.Logf("attempt %d: speedup %.2fx < 2x (retrying)", attempt, ratio)
 		}
 	}
-	if migrations := ad.Moves + ad.Splits + ad.PlanRefines; migrations < 2 {
-		t.Errorf("only %d layout migrations (moves %d, splits %d, refines %d), want >= 2",
-			migrations, ad.Moves, ad.Splits, ad.PlanRefines)
+	if migrations := ad.Moves + ad.Splits; migrations < 2 {
+		t.Errorf("only %d layout migrations (moves %d, splits %d), want >= 2",
+			migrations, ad.Moves, ad.Splits)
 	}
 	if ad.Joins != 1 || ad.Leaves != 1 {
 		t.Errorf("joins/leaves = %d/%d, want 1/1", ad.Joins, ad.Leaves)
@@ -95,8 +95,8 @@ func TestSkewBenchAdaptiveBeatsStatic(t *testing.T) {
 	if ad.Partitions <= st.Partitions {
 		t.Errorf("adaptive finished with %d partitions, static %d — nothing was split", ad.Partitions, st.Partitions)
 	}
-	t.Logf("static %.2f cp-ms, adaptive %.2f cp-ms (%.2fx); adaptive: %d moves, %d splits, %d refines, %d refused, %d partitions",
-		st.CPMs, ad.CPMs, st.CPMs/ad.CPMs, ad.Moves, ad.Splits, ad.PlanRefines, ad.RefusedSplits, ad.Partitions)
+	t.Logf("static %.2f cp-ms, adaptive %.2f cp-ms (%.2fx); adaptive: %d moves, %d splits, %d refused, %d partitions",
+		st.CPMs, ad.CPMs, st.CPMs/ad.CPMs, ad.Moves, ad.Splits, ad.RefusedSplits, ad.Partitions)
 }
 
 // TestSkewBenchArtifact emits BENCH_7.json (the static vs adaptive

@@ -115,17 +115,6 @@ func (p *AdaptivePartitioner) withFanout(c, m int) *AdaptivePartitioner {
 	return cand
 }
 
-// setPlan replaces the community plan wholesale (a plan refine): all
-// fan-outs reset to 1 under the new, finer community structure.
-func (p *AdaptivePartitioner) setPlan(plan *core.Plan, keys *atomdep.Analysis) {
-	p.plan, p.keys = plan, keys
-	p.width = make([]int, len(plan.Communities))
-	for c := range p.width {
-		p.width[c] = 1
-	}
-	p.reindex()
-}
-
 // Partition implements Partitioner: identical routing to AtomPartitioner,
 // with per-community widths instead of one global fan-out.
 func (p *AdaptivePartitioner) Partition(window []rdf.Triple) ([][]rdf.Triple, int) {

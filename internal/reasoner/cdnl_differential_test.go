@@ -17,9 +17,8 @@ import (
 )
 
 // cdnlCadence is a rotation schedule applied to the CDNL reasoner only: the
-// oracles never rotate, so the comparison also pins that carried-clause
-// remapping across Rotate (and the dropping of clauses over evicted atoms)
-// cannot change an answer.
+// oracles never rotate, so the comparison also pins that renumbered atom IDs
+// cannot change a CDNL answer.
 type cdnlCadence struct {
 	name        string
 	budgetBytes int64 // tight byte budget: rotates nearly every window
@@ -71,11 +70,10 @@ func stepCDNLDifferential(t *testing.T, label string, wi int, wd stream.WindowDe
 
 // TestSolverDifferentialCDNL is the three-way acceptance gate of the
 // conflict-driven engine: on randomized programs covering every rule class ×
-// window shapes × rotation cadences, CDNL with cross-window clause carry must
-// enumerate exactly the answer sets of BOTH pre-existing engines, through R,
-// PR, and (below) DPR. Rotation cadences apply to the CDNL reasoner alone, so
-// learned-state carry across table remaps is pinned against never-rotating
-// oracles.
+// window shapes × rotation cadences, CDNL must enumerate exactly the answer
+// sets of BOTH pre-existing engines, through R, PR, and (below) DPR.
+// Rotation cadences apply to the CDNL reasoner alone, so they are pinned
+// against never-rotating oracles.
 func TestSolverDifferentialCDNL(t *testing.T) {
 	classes := []struct {
 		name string
@@ -95,8 +93,8 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 	}
 	type winCfg struct{ size, step int }
 	windows := []winCfg{
-		{60, 20}, // sliding, 3x overlap — the clause-carry sweet spot
-		{80, 80}, // tumbling: windows share no facts, carry must still be sound
+		{60, 20}, // sliding, 3x overlap
+		{80, 80}, // tumbling: windows share no facts
 		{50, 10}, // sliding, 5x overlap
 	}
 	cadences := []cdnlCadence{
@@ -183,30 +181,12 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 		}
 	}
 	// The progen classes exercise search but propagate to their answers
-	// without conflicting, so the conflict/carry half of the gate runs on a
-	// crafted class too: the a-branch fails through x(X) in every window that
-	// holds an e fact, and sliding windows keep those ground rules alive so
-	// the learned clause replays.
-	crafted := `
-a :- not b.
-b :- not a.
-x(X) :- e(X,Y), a.
-:- x(X), a.
-`
-	prog, err := parser.Parse(crafted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseCfg := Config{Program: prog, Inpre: []string{"e"}, Arities: dfp.Arities{"e": 2}}
+	// without conflicting, so the conflict half of the gate runs on a
+	// crafted class too.
+	baseCfg := craftedCDNLConfig(t)
 	naiveCfg := baseCfg
 	naiveCfg.SolveOpts.NaivePropagation = true
-	rnd := rand.New(rand.NewSource(71))
-	var triples []rdf.Triple
-	for i := 0; i < 200; i++ {
-		triples = append(triples, rdf.Triple{
-			S: fmt.Sprintf("s%d", rnd.Intn(8)), P: "e", O: fmt.Sprint(rnd.Intn(5)),
-		})
-	}
+	triples := craftedCDNLStream()
 	for _, cad := range cadences {
 		label := fmt.Sprintf("crafted w60/s20 %s", cad.name)
 		emissions := emitWindows(triples, 60, 20)
@@ -256,23 +236,94 @@ x(X) :- e(X,Y), a.
 	}
 
 	// The gate must not pass vacuously: across the matrix the CDNL engine has
-	// to have actually searched (residual windows), learned from conflicts,
-	// and replayed carried clauses in later windows.
+	// to have actually searched (residual windows) and learned from
+	// conflicts.
 	if cdnlTotals.Choices == 0 {
 		t.Error("CDNL engine never made a branching decision across the whole matrix")
 	}
 	if cdnlTotals.Learned == 0 {
 		t.Error("CDNL engine never learned a clause across the whole matrix")
 	}
-	if cdnlTotals.ReusedClauses == 0 {
-		t.Error("CDNL engine never reused a carried clause across the whole matrix")
+}
+
+// craftedCDNLConfig is the conflict-heavy program of the CDNL gates: the
+// a-branch fails through x(X) in every window that holds an e fact, so every
+// such window learns clauses.
+func craftedCDNLConfig(t *testing.T) Config {
+	t.Helper()
+	prog, err := parser.Parse(`
+a :- not b.
+b :- not a.
+x(X) :- e(X,Y), a.
+:- x(X), a.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Program: prog, Inpre: []string{"e"}, Arities: dfp.Arities{"e": 2}}
+}
+
+// craftedCDNLStream is the fixed e-fact stream the crafted program runs on.
+func craftedCDNLStream() []rdf.Triple {
+	rnd := rand.New(rand.NewSource(71))
+	var triples []rdf.Triple
+	for i := 0; i < 200; i++ {
+		triples = append(triples, rdf.Triple{
+			S: fmt.Sprintf("s%d", rnd.Intn(8)), P: "e", O: fmt.Sprint(rnd.Intn(5)),
+		})
+	}
+	return triples
+}
+
+// TestSolverDifferentialCDNLPerWindow pins that no solver state crosses
+// windows: on overlapping sliding windows of the crafted program, every
+// window a long-lived CDNL R solves has the answers and the exact SolveStats
+// of a fresh CDNL R solving that window alone.
+func TestSolverDifferentialCDNLPerWindow(t *testing.T) {
+	cfg := craftedCDNLConfig(t)
+	cfg.SolveOpts.CDNL = true
+	emissions := emitWindows(craftedCDNLStream(), 60, 20)
+	if len(emissions) < 6 {
+		t.Fatalf("need at least 6 windows, got %d", len(emissions))
+	}
+	r, err := NewR(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var learned int
+	for wi, wd := range emissions {
+		var d *Delta
+		if wd.Incremental {
+			d = &Delta{Added: wd.Added, Retracted: wd.Retracted}
+		}
+		got, err := r.ProcessDelta(wd.Window, d)
+		if err != nil {
+			t.Fatalf("window %d: %v", wi, err)
+		}
+		fresh, err := NewR(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Process(wd.Window)
+		if err != nil {
+			t.Fatalf("window %d: fresh: %v", wi, err)
+		}
+		if gs, ws := answerKeySigs(got.Answers), answerKeySigs(want.Answers); !slices.Equal(gs, ws) {
+			t.Fatalf("window %d: answers diverge\nlong-lived: %v\nfresh:      %v", wi, gs, ws)
+		}
+		if got.SolveStats != want.SolveStats {
+			t.Errorf("window %d: solver stats diverge\nlong-lived: %+v\nfresh:      %+v", wi, got.SolveStats, want.SolveStats)
+		}
+		learned += got.SolveStats.Learned
+	}
+	if learned == 0 {
+		t.Error("no window learned a clause; the crafted program no longer conflicts")
 	}
 }
 
 // TestSolverDifferentialCDNLDistributed extends the three-way gate to DPR:
-// a distributed CDNL reasoner over 2 loopback workers — each worker session
-// carrying its own learned-clause state across its windows, with budget-
-// driven worker-table rotation in the fresh-constant variant — against the
+// a distributed CDNL reasoner over 2 loopback workers — with budget-driven
+// worker-table rotation in the fresh-constant variant — against the
 // in-process worklist PR and naive R oracles.
 func TestSolverDifferentialCDNLDistributed(t *testing.T) {
 	programs := []struct {

@@ -219,11 +219,6 @@ func (r *R) applyRemap(rm *intern.Remap) {
 			r.incLive = false
 		}
 	}
-	if r.carry != nil {
-		// Carried clauses referencing rotated atoms are rewritten; clauses
-		// touching evicted atoms are dropped (their premises are gone).
-		r.carry.Remap(rm)
-	}
 	// Per-window ID scratch is stale after a rotation.
 	r.factbuf = r.factbuf[:0]
 	r.addBuf, r.retBuf = r.addBuf[:0], r.retBuf[:0]

@@ -164,13 +164,6 @@ type R struct {
 	// liveBuf is the reusable scratch for collecting live IDs at rotation
 	// time (memory.go).
 	liveBuf []intern.AtomID
-
-	// carry holds solver state that survives across windows when the CDNL
-	// engine is configured: learned clauses (premise-checked against each
-	// window's ground program before replay) and branching activity. It is
-	// reset on the paths that abandon window continuity (re-seed, internal
-	// fallback) and remapped on table rotation.
-	carry *solve.CarryState
 }
 
 // NewR builds a reasoner for the program, inferring input arities when not
@@ -212,19 +205,7 @@ func NewR(cfg Config) (*R, error) {
 			outputs[tab.Sym(p)] = true
 		}
 	}
-	r := &R{cfg: cfg, arities: ar, inpre: inpre, outputs: outputs, tab: tab, inst: inst}
-	if cfg.SolveOpts.CDNL {
-		r.carry = &solve.CarryState{}
-	}
-	return r, nil
-}
-
-// resetCarry drops carried solver state on paths that abandon window
-// continuity.
-func (r *R) resetCarry() {
-	if r.carry != nil {
-		r.carry.Reset()
-	}
+	return &R{cfg: cfg, arities: ar, inpre: inpre, outputs: outputs, tab: tab, inst: inst}, nil
 }
 
 // SupportsIncremental reports whether the program is statically eligible for
@@ -314,11 +295,6 @@ func (r *R) processSeed(window []rdf.Triple) (*Output, error) {
 func (r *R) processSeedAt(window []rdf.Triple, start time.Time) (*Output, error) {
 	out := &Output{}
 	r.incLive = false
-	// A re-seed abandons window continuity (first window, mis-advertised
-	// delta, or update failure); carried clauses remain sound — their
-	// premises are re-checked per window — but the reuse contract exposed to
-	// operators is "continuity ended, state dropped", matching the grounder.
-	r.resetCarry()
 
 	t0 := time.Now()
 	factIDs, skipped := dfp.InternFacts(r.tab, window, r.arities, r.factbuf[:0])
@@ -346,7 +322,6 @@ func (r *R) processSeedAt(window []rdf.Triple, start time.Time) (*Output, error)
 		// The incremental engine cannot handle this program after all;
 		// disable it and fall back for good.
 		r.incOff = true
-		r.resetCarry()
 		return r.processFullAt(window, start)
 	}
 	out.Latency.Ground = time.Since(t0)
@@ -451,7 +426,6 @@ func (r *R) applyUpdate(out *Output, window []rdf.Triple, addSet, retSet []inter
 			// never be consumed.
 			r.incOff = true
 			r.incLive = false
-			r.resetCarry()
 			return r.processFullAt(window, start)
 		}
 		return r.processSeedAt(window, start)
@@ -465,7 +439,7 @@ func (r *R) applyUpdate(out *Output, window []rdf.Triple, addSet, retSet []inter
 func (r *R) solveAndFilter(out *Output, gp *ground.Program, start time.Time) (*Output, error) {
 	out.GroundStats = gp.Stats
 	t0 := time.Now()
-	res, err := solve.SolveCarry(gp, r.cfg.SolveOpts, r.carry)
+	res, err := solve.Solve(gp, r.cfg.SolveOpts)
 	if err != nil {
 		return nil, fmt.Errorf("solving: %w", err)
 	}

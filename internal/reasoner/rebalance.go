@@ -9,8 +9,7 @@
 //
 //   - Move: migrate a hot partition to a cold worker (any partitioner).
 //   - Split: widen the hottest community's hash fan-out along the proven
-//     atom-level key (AdaptivePartitioner only), or install a finer
-//     community plan from the Louvain resolution ladder.
+//     atom-level key (AdaptivePartitioner only).
 //
 // Every split candidate is priced with the paper's duplication-share
 // analysis before it is accepted: the candidate routes the last observed
@@ -22,12 +21,7 @@
 
 package reasoner
 
-import (
-	"fmt"
-
-	"streamrule/internal/atomdep"
-	"streamrule/internal/core"
-)
+import "fmt"
 
 // RebalanceOptions tunes the adaptive rebalancer (DPROptions.Rebalance).
 // The zero value is usable: every field falls back to the documented
@@ -48,17 +42,6 @@ type RebalanceOptions struct {
 	// MaxFanout caps a single community's hash fan-out (0 = the current
 	// number of workers).
 	MaxFanout int
-	// MaxRefineResolution caps the Louvain resolution ladder for plan
-	// refines (default 8); each refine doubles the current resolution.
-	MaxRefineResolution float64
-	// PlanRefine opts into plan refines: when moves and hash splits are
-	// exhausted, re-run the design-time analysis one rung up the Louvain
-	// resolution ladder and install the finer community plan. OFF by
-	// default because it is the one adaptation that can trade exactness:
-	// a finer cut may separate predicates that interact through negation
-	// or recursion, reproducing the paper's §III accuracy loss at runtime.
-	// Moves and hash splits are always answer-exact.
-	PlanRefine bool
 	// MinWindowItems skips skew detection on windows routing fewer items
 	// (default 0 = observe everything): tiny windows have noisy ratios.
 	MinWindowItems int
@@ -85,22 +68,14 @@ func (o RebalanceOptions) cooldown() int {
 	return 2
 }
 
-func (o RebalanceOptions) maxRefineResolution() float64 {
-	if o.MaxRefineResolution > 0 {
-		return o.MaxRefineResolution
-	}
-	return 8
-}
-
 // RebalanceStats counts the rebalancer's decisions since construction.
 type RebalanceStats struct {
 	// Observations counts windows the rebalancer inspected.
 	Observations int64
 	// Moves counts partition migrations between workers.
 	Moves int64
-	// Splits counts accepted community hash splits; PlanRefines counts
-	// accepted finer community plans.
-	Splits, PlanRefines int64
+	// Splits counts accepted community hash splits.
+	Splits int64
 	// RefusedSplits counts split candidates rejected by the duplication
 	// cost model (replication cost exceeded the projected gain).
 	RefusedSplits int64
@@ -153,7 +128,7 @@ func (rb *rebalancer) step(dpr *DPR) {
 		}
 	}
 	// EWMA-smooth against the previous rounds; a partition-count change
-	// (split, plan refine) resets the history.
+	// (a split) resets the history.
 	if len(rb.loadEwma) != len(weights) {
 		rb.loadEwma = weights
 	} else {
@@ -254,7 +229,7 @@ func (rb *rebalancer) preferSplit(dpr *DPR, hot int, mean float64) bool {
 	if maxFanout <= 0 {
 		maxFanout = len(dpr.sessions)
 	}
-	return (ap.Splittable(c) && ap.Fanout(c) < maxFanout) || rb.opts.PlanRefine
+	return ap.Splittable(c) && ap.Fanout(c) < maxFanout
 }
 
 // tryMove migrates the hottest partition of the hottest worker to the
@@ -304,11 +279,10 @@ func (rb *rebalancer) tryMove(dpr *DPR, assign []int, perSession []float64, hot 
 	return true
 }
 
-// trySplit refines the hottest worker's hottest community: first by
-// widening its hash fan-out along the proven atom-level key, else by
-// installing a finer community plan off the Louvain resolution ladder.
-// Either candidate must pass the duplication cost model on the last
-// observed window, or it is refused and counted. Returns true iff a new
+// trySplit refines the hottest worker's hottest community by widening its
+// hash fan-out along the proven atom-level key. The candidate must pass the
+// duplication cost model on the last observed window, or it is refused and
+// counted. Returns true iff a new
 // layout was installed (a refusal or a no-op returns false, so the
 // caller may still fall back to a move).
 func (rb *rebalancer) trySplit(dpr *DPR, assign []int, hot int) bool {
@@ -335,22 +309,16 @@ func (rb *rebalancer) trySplit(dpr *DPR, assign []int, hot int) bool {
 		maxFanout = len(dpr.sessions)
 	}
 
-	var cand *AdaptivePartitioner
-	action := ""
-	if ap.Splittable(c) && ap.Fanout(c) < maxFanout {
-		m := min(2*ap.Fanout(c), maxFanout)
-		cand = ap.withFanout(c, m)
-		action = fmt.Sprintf("split community %d to fan-out %d", c, m)
-	} else if rb.opts.PlanRefine {
-		cand, action = rb.refinedPlanCandidate(dpr, ap)
-	}
-	if cand == nil {
+	if !ap.Splittable(c) || ap.Fanout(c) >= maxFanout {
 		// Nothing left to try at this layout; back off before looking
 		// again.
 		rb.cooldown = rb.opts.cooldown()
 		rb.streak = 0
 		return false
 	}
+	m := min(2*ap.Fanout(c), maxFanout)
+	cand := ap.withFanout(c, m)
+	action := fmt.Sprintf("split community %d to fan-out %d", c, m)
 
 	accepted, weights := rb.price(dpr, ap, cand)
 	if !accepted {
@@ -363,14 +331,9 @@ func (rb *rebalancer) trySplit(dpr *DPR, assign []int, hot int) bool {
 
 	// Install the candidate layout on the LIVE partitioner and re-layout
 	// the sessions around the new partition set.
-	if cand.plan != ap.plan {
-		ap.setPlan(cand.plan, cand.keys)
-		rb.stats.PlanRefines++
-	} else {
-		ap.width = cand.width
-		ap.reindex()
-		rb.stats.Splits++
-	}
+	ap.width = cand.width
+	ap.reindex()
+	rb.stats.Splits++
 	if err := dpr.applyLayout(assignLPT(weights, len(dpr.sessions))); err != nil {
 		rb.stats.LastAction = fmt.Sprintf("%s: layout failed: %v", action, err)
 		return true
@@ -380,28 +343,6 @@ func (rb *rebalancer) trySplit(dpr *DPR, assign []int, hot int) bool {
 	rb.cooldown = rb.opts.cooldown()
 	rb.streak = 0
 	return true
-}
-
-// refinedPlanCandidate re-runs the design-time analysis one rung up the
-// Louvain resolution ladder and returns a candidate partitioner over the
-// finer plan (nil when the ladder is exhausted or the plan did not get
-// finer).
-func (rb *rebalancer) refinedPlanCandidate(dpr *DPR, ap *AdaptivePartitioner) (*AdaptivePartitioner, string) {
-	res := ap.plan.Resolution
-	if res <= 0 {
-		res = 1
-	}
-	next := res * 2
-	if next > rb.opts.maxRefineResolution() {
-		return nil, ""
-	}
-	an, err := core.Analyze(dpr.cfg.Program, dpr.cfg.Inpre, next)
-	if err != nil || an.Plan.NumPartitions() <= ap.plan.NumPartitions() {
-		return nil, ""
-	}
-	keys := atomdep.Analyze(dpr.cfg.Program, an.Plan)
-	return NewAdaptivePartitioner(an.Plan, keys, ap.arities),
-		fmt.Sprintf("refined plan to resolution %g (%d communities)", next, an.Plan.NumPartitions())
 }
 
 // price runs the duplication cost model: both partitioners route the last

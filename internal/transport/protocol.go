@@ -16,7 +16,8 @@ import (
 // (Hello.MemoryBudgetBytes).
 // Version 4: conflict-driven solving on workers (Hello.CDNL) — a v3 worker
 // would silently solve with the wrong engine, skewing any ablation, so the
-// field rides a version bump.
+// field rides a version bump. Each window is solved independently; no solver
+// state crosses windows.
 // Version 5: checksummed frames (an 8-byte [len | crc32c] header replaces
 // the bare 4-byte length prefix, so wire corruption is detected before the
 // gob decoder sees a byte) and protocol-level heartbeats (WindowReq.Ping —
@@ -47,9 +48,8 @@ type Hello struct {
 	// (see solve.Options.NaivePropagation), so the ablation covers remote
 	// partitions exactly like local ones.
 	NaivePropagation bool
-	// CDNL selects the worker solver's conflict-driven engine with
-	// cross-window clause reuse (see solve.Options.CDNL); each worker
-	// partition keeps its own carried state across its windows.
+	// CDNL selects the worker solver's conflict-driven engine (see
+	// solve.Options.CDNL). Learned clauses live for one window.
 	CDNL bool
 	// MaxAtoms aborts grounding beyond this many atoms (0 = no limit).
 	MaxAtoms int

@@ -83,9 +83,9 @@ type MemoryStats = reasoner.MemoryStats
 // repairs. The rule-visit count is the headline metric of the solver's
 // event-driven propagation engine; compare it against WithNaivePropagation.
 // Under WithCDNL the conflict-driven counters are live too: conflicts hit,
-// clauses learned, non-chronological backjumps, loop nogoods derived by
-// unfounded-set detection, and learned clauses reused from earlier windows
-// of the same stream (cross-window carry).
+// clauses learned, non-chronological backjumps, and loop nogoods derived by
+// unfounded-set detection. ReusedClauses is always 0: learned clauses live
+// for one window.
 type SolveStats = solve.Stats
 
 // options carries the functional options of the engine constructors.
@@ -180,13 +180,11 @@ func WithNaivePropagation() Option {
 // analysis with non-chronological backjumping, activity-driven branching,
 // unfounded-set detection that turns positive loops into loop nogoods
 // during propagation (so non-disjunctive candidates skip the reduct-based
-// stability check entirely), and a learned-clause database that survives
-// across overlapping windows — clauses are tagged with the ground rules
-// they were derived from and replayed in later windows whose programs
-// still contain those rules, remapped or dropped when memory-budget
-// rotation renumbers atoms. The answer sets are identical to the default
-// engine's; only the work profile (Output.SolveStats: Conflicts, Learned,
-// Backjumps, LoopNogoods, ReusedClauses) and its scaling differ. Mutually
+// stability check entirely), and a learned-clause database that lives for
+// one window, so each window's search depends only on that window's ground
+// program. The answer sets are identical to the default engine's; only the
+// work profile (Output.SolveStats: Conflicts, Learned, Backjumps,
+// LoopNogoods) and its scaling differ. Mutually
 // exclusive with WithNaivePropagation, which wins if both are set.
 func WithCDNL() Option {
 	return func(o *options) { o.cdnl = true }
