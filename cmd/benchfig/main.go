@@ -10,7 +10,9 @@
 //	benchfig -figure 10           # accuracy, program P'
 //	benchfig -figure 7 -sizes 5000,10000 -reps 5 -seed 3
 //	benchfig -all                 # all four figures, markdown tables
-//	benchfig -throughput          # derived: max sustainable stream rate
+//
+// End-to-end throughput and per-layer timings live in the repository
+// benchmark (go run ./benchmark), not here.
 package main
 
 import (
@@ -33,8 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	figure := fs.Int("figure", 0, "paper figure to regenerate (7, 8, 9, or 10)")
 	all := fs.Bool("all", false, "run all four figures and print markdown tables")
-	throughput := fs.Bool("throughput", false, "derived experiment: maximum sustainable stream rate (items/s)")
-	atomFanout := fs.Int("atom", 4, "atom-level fan-out for the throughput experiment (0 disables)")
 	sizes := fs.String("sizes", "", "comma-separated window sizes (default 5000..40000 step 5000)")
 	reps := fs.Int("reps", 3, "windows averaged per point")
 	seed := fs.Int64("seed", 1, "workload seed")
@@ -45,30 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *throughput {
-		cfg := bench.ThroughputConfig{
-			ProgramSrc:  bench.ProgramP,
-			Seed:        *seed,
-			Repetitions: *reps,
-			AtomFanout:  *atomFanout,
-		}
-		if *sizes != "" {
-			var err error
-			cfg.Sizes, err = parseSizes(*sizes)
-			if err != nil {
-				fmt.Fprintln(stderr, "benchfig:", err)
-				return 2
-			}
-		}
-		res, err := bench.RunThroughput(cfg)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchfig:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "# maximum sustainable stream rate (items/second)")
-		fmt.Fprint(stdout, res.CSV())
-		return 0
-	}
 	if *all {
 		if err := runAll(stdout, *reps, *seed); err != nil {
 			fmt.Fprintln(stderr, "benchfig:", err)
@@ -77,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *figure == 0 {
-		fmt.Fprintln(stderr, "benchfig: -figure, -all, or -throughput is required")
+		fmt.Fprintln(stderr, "benchfig: -figure or -all is required")
 		fs.Usage()
 		return 2
 	}

@@ -49,16 +49,6 @@ func TestMarkdownOutput(t *testing.T) {
 	}
 }
 
-func TestThroughputMode(t *testing.T) {
-	code, out, _ := runCLI(t, "-throughput", "-sizes", "400", "-reps", "1", "-atom", "2")
-	if code != 0 {
-		t.Fatalf("code = %d", code)
-	}
-	if !strings.Contains(out, "window_size,R,PR_Dep,PR_Atom_m2") {
-		t.Errorf("out = %q", out)
-	}
-}
-
 func TestNoDupAblationFlag(t *testing.T) {
 	code, out, _ := runCLI(t, "-figure", "10", "-sizes", "400", "-reps", "1", "-nodup")
 	if code != 0 {

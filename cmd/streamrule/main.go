@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rate := fs.Int("rate", 0, "stream rate in triples/second (0 = unpaced)")
 	budget := fs.Int("budget", 0, "memory budget in interned atoms (> 0 evicts unreferenced table entries between windows; for streams with unbounded vocabularies)")
 	budgetBytes := fs.Int64("budget-bytes", 0, "memory budget in approximate retained bytes (the byte-based successor of -budget; both may be combined)")
-	adaptive := fs.Bool("adaptive", false, "with -workers: rebalance partitions across workers at runtime (migrate hot partitions, split overloaded communities under the duplication cost model)")
 	naive := fs.Bool("naive-solver", false, "use the legacy rescan propagator instead of the counter/worklist engine (ablation; full enumerations identical)")
 	cdnl := fs.Bool("cdnl", false, "use the conflict-driven solver: clause learning, backjumping, loop nogoods (answers identical; work profile differs)")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate: the worker's serving cert with -worker, the coordinator's client cert with -workers (enables TLS)")
@@ -152,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reasonerMode = "DPR"
 	}
 	var eng streamrule.Reasoner
-	var distEng *streamrule.DistributedEngine
 	var chaosInj *chaos.Injector
 	switch reasonerMode {
 	case "R":
@@ -162,9 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(addrs) == 0 {
 			return fail(stderr, fmt.Errorf("-mode DPR requires -workers host1:port,host2:port"))
 		}
-		if *adaptive {
-			opts = append(opts, streamrule.WithAdaptiveRebalancing(streamrule.RebalanceOptions{}))
-		} else if *atom > 0 {
+		if *atom > 0 {
 			opts = append(opts, streamrule.WithAtomPartitioning(*atom))
 		}
 		if *straggler > 0 {
@@ -196,7 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		de, err = streamrule.NewDistributedEngine(prog, addrs, opts...)
 		if err == nil {
 			defer de.Close()
-			distEng = de
 			fmt.Fprintf(stdout, "partitions: %d over %d worker(s)\n", de.Partitions(), len(addrs))
 			if de.Plan() != nil {
 				fmt.Fprintf(stdout, "partitioning plan:\n%s", de.Plan())
@@ -314,12 +309,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				100*ts.ReqDictHitRate(), 100*ts.DictHitRate(), ts.MeanInFlight(),
 				ts.FullPartWindows, ts.DeltaPartWindows)
 		}
-	}
-	if distEng != nil && *adaptive {
-		rs := distEng.RebalanceStats()
-		fmt.Fprintf(stdout, "rebalance: observed=%d moves=%d splits=%d refused=%d joins=%d leaves=%d partitions=%d last=%q\n",
-			rs.Observations, rs.Moves, rs.Splits, rs.RefusedSplits,
-			rs.Joins, rs.Leaves, distEng.Partitions(), rs.LastAction)
 	}
 	if chaosInj != nil {
 		cs := chaosInj.Stats()

@@ -16,17 +16,6 @@ import (
 // dictionary hit rate (see DistributedEngine).
 type TransportStats = reasoner.TransportStats
 
-// RebalanceOptions tunes the adaptive rebalancer enabled by
-// WithAdaptiveRebalancing: skew threshold, sustain/cooldown windows, the
-// per-community fan-out cap, and the minimum window size observed. The zero
-// value uses the documented defaults.
-type RebalanceOptions = reasoner.RebalanceOptions
-
-// RebalanceStats counts the adaptive rebalancer's decisions: windows
-// observed, partition moves, accepted community splits, splits refused by
-// the duplication cost model, and elastic worker joins and leaves.
-type RebalanceStats = reasoner.RebalanceStats
-
 // PartitionLoad is one partition's observed load in the most recently
 // processed window: routed items, compute critical path, the worker
 // serving it, and whether it was answered remotely.
@@ -43,20 +32,6 @@ type CircuitBreakerOptions = reasoner.BreakerOptions
 // worker address and the configured dial timeout and returns a connected
 // net.Conn.
 type DialFunc = transport.DialFunc
-
-// WithAdaptiveRebalancing makes partitioning a runtime concern for the
-// distributed engine: the coordinator observes every window's per-partition
-// load, and — between windows — migrates partitions from hot to cold
-// workers and hash-splits overloaded communities along the proven atom-level
-// key. A split whose replicated traffic would exceed the projected speedup
-// is refused (the paper's duplication-share analysis, applied online).
-// Migrations ride the session machinery: affected workers get a fresh
-// session whose next window ships in full — answers are never dropped, at
-// the cost of one full-window reship per migration. Incompatible with
-// WithRandomPartitioning; supersedes WithAtomPartitioning.
-func WithAdaptiveRebalancing(ro RebalanceOptions) Option {
-	return func(o *options) { o.adaptive = &ro }
-}
 
 // WithStragglerTimeout bounds one remote round of the distributed engine
 // (ship the partition, reason, receive answers). A worker that misses the
@@ -120,11 +95,14 @@ func WithTransportTLS(cfg *tls.Config) Option {
 
 // DistributedEngine is the sharded parallel reasoner DPR: the partitioning
 // and combining handlers of ParallelEngine with the k reasoner copies
-// running on remote workers (one session per partition, assigned
-// round-robin over the worker addresses). Windows ship as plain triples;
+// running on remote workers (one session per worker, hosting the partitions
+// assigned round-robin over the worker addresses). Requests ship as
+// dictionary-coded deltas against each partition's previous sub-window;
 // answer sets come back in a portable wire form, re-interned through a
-// cached per-worker symbol dictionary so steady-state windows ship only
-// symbols the coordinator has never seen.
+// cached per-worker symbol dictionary. Both directions ship each symbol
+// once per session, so steady-state windows carry only symbols the
+// receiver has never seen. The partition layout is fixed at construction;
+// only AddWorker and RemoveWorker move partitions between workers.
 //
 // Every partition keeps a local fallback reasoner: a worker that is down,
 // straggling, or desynchronized costs latency for that window, never
@@ -157,7 +135,6 @@ func NewDistributedEngine(p *Program, workers []string, opts ...Option) (*Distri
 		ProgramSource:     p.Source(),
 		StragglerTimeout:  o.stragglerTimeout,
 		MaxInFlight:       o.maxInFlight,
-		Rebalance:         o.adaptive,
 		Dialer:            o.dialer,
 		TLS:               o.tlsConf,
 		HeartbeatInterval: o.heartbeat,
@@ -174,7 +151,9 @@ func NewDistributedEngine(p *Program, workers []string, opts ...Option) (*Distri
 // partitioning is configured.
 func (e *DistributedEngine) Plan() *Plan { return e.plan }
 
-// Partitions returns the number of partitions (= worker sessions).
+// Partitions returns the number of partitions. Partitions are not worker
+// sessions: each worker holds one session, which may host several
+// partitions.
 func (e *DistributedEngine) Partitions() int { return e.dpr.NumPartitions() }
 
 // Reason processes one window: partition, ship the sub-windows to the
@@ -214,13 +193,9 @@ func (e *DistributedEngine) Stats() MemoryStats { return e.dpr.Stats() }
 // TransportStats returns the engine's wire metrics alone.
 func (e *DistributedEngine) TransportStats() TransportStats { return e.dpr.TransportStats() }
 
-// RebalanceStats returns the adaptive rebalancer's decision counters (the
-// join/leave counters tick even without WithAdaptiveRebalancing).
-func (e *DistributedEngine) RebalanceStats() RebalanceStats { return e.dpr.RebalanceStats() }
-
 // PartitionLoads returns the per-partition load rows of the most recently
-// processed window (nil before the first). The slice is reused across
-// windows; copy it to retain.
+// processed window (nil before the first). Every window gets a fresh slice;
+// callers must not modify it.
 func (e *DistributedEngine) PartitionLoads() []PartitionLoad { return e.dpr.PartitionLoads() }
 
 // Workers lists the current worker addresses.

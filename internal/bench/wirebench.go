@@ -1,10 +1,7 @@
-// Wire-path benchmark: the recorded-replay trajectory for the distributed
-// reasoner's wire economics. RunWireBench drives the same sliding stream
-// through R, PR_Dep, serial DPR, and pipelined DPR (loopback workers,
-// in-process) and reports the headline numbers of the wire path — mean
-// critical-path latency, request/response bytes per window, rounds, and the
-// realized pipeline depth — as one row per figure × system. `make bench6`
-// snapshots the rows into BENCH_6.json.
+// Wire-economics gate: SteadyStateRequestBytes drives serial DPR over
+// in-process loopback workers on a sliding stream and reports the mean
+// request bytes per window, which TestRequestBytesBudget holds against a
+// committed baseline.
 
 package bench
 
@@ -21,63 +18,6 @@ import (
 	"streamrule/internal/workload"
 )
 
-// WireRow is one measured cell of the wire benchmark.
-type WireRow struct {
-	// Figure names the workload: "Fig7" (program P, paper traffic) or
-	// "Fig7Residual" (residual program, hostile traffic).
-	Figure string `json:"figure"`
-	// System is R, PR_Dep, DPR_serial, or DPR_pipelined.
-	System string `json:"system"`
-	// CPMs is the mean critical-path latency in milliseconds.
-	CPMs float64 `json:"cp_ms"`
-	// ReqBytesPerWindow / RespBytesPerWindow are the mean wire bytes shipped
-	// per window, request and response side (0 for in-process systems).
-	ReqBytesPerWindow  int64 `json:"req_bytes_per_window"`
-	RespBytesPerWindow int64 `json:"resp_bytes_per_window"`
-	// Rounds is the total number of request/response rounds issued.
-	Rounds int64 `json:"rounds"`
-	// MeanInFlight is the mean pipeline depth observed at submit time
-	// (1.0 under lockstep).
-	MeanInFlight float64 `json:"mean_in_flight"`
-	// Windows is the number of window emissions processed.
-	Windows int `json:"windows"`
-}
-
-// WireBenchConfig parameterizes one wire-benchmark run.
-type WireBenchConfig struct {
-	// Seed drives workload generation (default 1).
-	Seed int64
-	// WindowSize / WindowStep shape the sliding window (defaults 5000/1000).
-	WindowSize, WindowStep int
-	// Windows is the number of emissions per system (default 12).
-	Windows int
-	// Depth is the pipelined run's MaxInFlight (default 2).
-	Depth int
-	// Workers is the number of loopback workers (default 2).
-	Workers int
-}
-
-func (c *WireBenchConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.WindowSize == 0 {
-		c.WindowSize = 5000
-	}
-	if c.WindowStep == 0 {
-		c.WindowStep = 1000
-	}
-	if c.Windows == 0 {
-		c.Windows = 12
-	}
-	if c.Depth == 0 {
-		c.Depth = 2
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-}
-
 // slidingEmissions replays triples through a sliding count window, returning
 // every emission with its delta (the stream the pipeline would deliver).
 func slidingEmissions(triples []rdf.Triple, size, step int) []stream.WindowDelta {
@@ -90,67 +30,6 @@ func slidingEmissions(triples []rdf.Triple, size, step int) []stream.WindowDelta
 		}
 	}
 	return out
-}
-
-// deltaProcessor is the shared incremental surface of R, PR, and DPR.
-type deltaProcessor interface {
-	ProcessDelta(window []rdf.Triple, d *reasoner.Delta) (*reasoner.Output, error)
-}
-
-// driveSerial feeds every emission through ProcessDelta, returning the mean
-// critical path.
-func driveSerial(sys deltaProcessor, emissions []stream.WindowDelta) (time.Duration, error) {
-	var cp time.Duration
-	for wi, wd := range emissions {
-		var d *reasoner.Delta
-		if wd.Incremental {
-			d = &reasoner.Delta{Added: wd.Added, Retracted: wd.Retracted}
-		}
-		out, err := sys.ProcessDelta(wd.Window, d)
-		if err != nil {
-			return 0, fmt.Errorf("window %d: %w", wi, err)
-		}
-		cp += out.Latency.CriticalPath
-	}
-	return cp / time.Duration(len(emissions)), nil
-}
-
-// drivePipelined feeds the emissions submit-ahead at the DPR's configured
-// depth, returning the mean critical path.
-func drivePipelined(dpr *reasoner.DPR, emissions []stream.WindowDelta) (time.Duration, error) {
-	depth := dpr.MaxInFlight()
-	var cp time.Duration
-	inFlight := 0
-	collect := func() error {
-		out, err := dpr.Collect()
-		if err != nil {
-			return err
-		}
-		cp += out.Latency.CriticalPath
-		inFlight--
-		return nil
-	}
-	for wi, wd := range emissions {
-		var d *reasoner.Delta
-		if wd.Incremental {
-			d = &reasoner.Delta{Added: wd.Added, Retracted: wd.Retracted}
-		}
-		if err := dpr.Submit(wd.Window, d); err != nil {
-			return 0, fmt.Errorf("window %d: %w", wi, err)
-		}
-		inFlight++
-		if inFlight == depth {
-			if err := collect(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	for inFlight > 0 {
-		if err := collect(); err != nil {
-			return 0, err
-		}
-	}
-	return cp / time.Duration(len(emissions)), nil
 }
 
 // startLoopbackWorkers spins up n in-process workers and returns their
@@ -174,120 +53,6 @@ func startLoopbackWorkers(n int) ([]string, func(), error) {
 		addrs = append(addrs, srv.Addr())
 	}
 	return addrs, stop, nil
-}
-
-// RunWireBench executes the wire benchmark: Fig7 and Fig7Residual, each
-// through R, PR_Dep, serial DPR, and pipelined DPR over the same sliding
-// emissions, against fresh loopback workers per DPR run.
-func RunWireBench(cfg WireBenchConfig) ([]WireRow, error) {
-	cfg.fill()
-	figures := []struct {
-		name    string
-		src     string
-		traffic []workload.TripleSpec
-	}{
-		{"Fig7", ProgramP, workload.PaperTraffic()},
-		{"Fig7Residual", ProgramResidual, workload.ResidualTraffic()},
-	}
-	var rows []WireRow
-	for _, fig := range figures {
-		prog, err := parser.Parse(fig.src)
-		if err != nil {
-			return nil, err
-		}
-		rcfg := reasoner.Config{Program: prog, Inpre: Inpre, OutputPreds: Outputs}
-		analysis, err := core.Analyze(prog, Inpre, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := workload.NewGenerator(cfg.Seed, fig.traffic)
-		if err != nil {
-			return nil, err
-		}
-		total := cfg.WindowSize + cfg.WindowStep*(cfg.Windows-1)
-		emissions := slidingEmissions(gen.Window(total), cfg.WindowSize, cfg.WindowStep)
-		if len(emissions) == 0 {
-			return nil, fmt.Errorf("bench: no emissions for window %d step %d", cfg.WindowSize, cfg.WindowStep)
-		}
-		row := func(system string, cp time.Duration, ts *reasoner.TransportStats) WireRow {
-			r := WireRow{
-				Figure:  fig.name,
-				System:  system,
-				CPMs:    float64(cp.Microseconds()) / 1000,
-				Windows: len(emissions),
-			}
-			if ts != nil && ts.Windows > 0 {
-				r.ReqBytesPerWindow = ts.BytesSent / ts.Windows
-				r.RespBytesPerWindow = ts.BytesReceived / ts.Windows
-				r.Rounds = ts.Rounds
-				r.MeanInFlight = ts.MeanInFlight()
-			}
-			return r
-		}
-
-		r, err := reasoner.NewR(rcfg)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := driveSerial(r, emissions)
-		if err != nil {
-			return nil, fmt.Errorf("%s/R: %w", fig.name, err)
-		}
-		rows = append(rows, row("R", cp, nil))
-
-		pr, err := reasoner.NewPR(rcfg, reasoner.NewPlanPartitioner(analysis.Plan))
-		if err != nil {
-			return nil, err
-		}
-		cp, err = driveSerial(pr, emissions)
-		if err != nil {
-			return nil, fmt.Errorf("%s/PR_Dep: %w", fig.name, err)
-		}
-		rows = append(rows, row("PR_Dep", cp, nil))
-
-		for _, mode := range []struct {
-			system string
-			depth  int
-		}{
-			{"DPR_serial", 1},
-			{"DPR_pipelined", cfg.Depth},
-		} {
-			addrs, stopWorkers, err := startLoopbackWorkers(cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			dpr, err := reasoner.NewDPR(rcfg, reasoner.NewPlanPartitioner(analysis.Plan), reasoner.DPROptions{
-				Workers:          addrs,
-				ProgramSource:    fig.src,
-				StragglerTimeout: 30 * time.Second,
-				MaxInFlight:      mode.depth,
-			})
-			if err != nil {
-				stopWorkers()
-				return nil, err
-			}
-			if mode.depth > 1 {
-				cp, err = drivePipelined(dpr, emissions)
-			} else {
-				cp, err = driveSerial(dpr, emissions)
-			}
-			if err != nil {
-				dpr.Close()
-				stopWorkers()
-				return nil, fmt.Errorf("%s/%s: %w", fig.name, mode.system, err)
-			}
-			ts := dpr.TransportStats()
-			if ts.LocalFallbacks > 0 {
-				dpr.Close()
-				stopWorkers()
-				return nil, fmt.Errorf("%s/%s: %d local fallbacks on loopback workers", fig.name, mode.system, ts.LocalFallbacks)
-			}
-			rows = append(rows, row(mode.system, cp, &ts))
-			dpr.Close()
-			stopWorkers()
-		}
-	}
-	return rows, nil
 }
 
 // SteadyStateRequestBytes measures the request-side wire cost of serial DPR

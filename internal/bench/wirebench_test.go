@@ -1,78 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-// TestWireBenchSmoke runs the wire benchmark at a toy scale and checks the
-// shape of the rows: every figure × system cell present, latencies measured,
-// wire metrics populated exactly on the DPR rows, and the pipelined run
-// actually keeping more than one window in flight.
-func TestWireBenchSmoke(t *testing.T) {
-	rows, err := RunWireBench(WireBenchConfig{WindowSize: 600, WindowStep: 200, Windows: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byCell := make(map[string]WireRow)
-	for _, r := range rows {
-		byCell[r.Figure+"/"+r.System] = r
-	}
-	for _, fig := range []string{"Fig7", "Fig7Residual"} {
-		for _, sys := range []string{"R", "PR_Dep", "DPR_serial", "DPR_pipelined"} {
-			r, ok := byCell[fig+"/"+sys]
-			if !ok {
-				t.Fatalf("missing row %s/%s", fig, sys)
-			}
-			if r.CPMs <= 0 || r.Windows == 0 {
-				t.Errorf("%s/%s: degenerate row %+v", fig, sys, r)
-			}
-			remote := strings.HasPrefix(sys, "DPR")
-			if remote && (r.ReqBytesPerWindow <= 0 || r.RespBytesPerWindow <= 0 || r.Rounds <= 0) {
-				t.Errorf("%s/%s: wire metrics missing: %+v", fig, sys, r)
-			}
-			if !remote && (r.ReqBytesPerWindow != 0 || r.Rounds != 0) {
-				t.Errorf("%s/%s: in-process system reports wire metrics: %+v", fig, sys, r)
-			}
-		}
-		if p := byCell[fig+"/DPR_pipelined"]; p.MeanInFlight <= 1.0 {
-			t.Errorf("%s/DPR_pipelined: mean in-flight %.2f, the pipeline never filled", fig, p.MeanInFlight)
-		}
-	}
-}
-
-// TestWireBenchArtifact emits BENCH_6.json (the recorded-replay perf
-// trajectory for the wire path) when BENCH6_OUT names the destination; `make
-// bench6` wraps exactly this.
-func TestWireBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH6_OUT")
-	if out == "" {
-		t.Skip("set BENCH6_OUT=/path/BENCH_6.json (or run `make bench6`) to emit the artifact")
-	}
-	cfg := WireBenchConfig{}
-	rows, err := RunWireBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.fill()
-	artifact := struct {
-		Name   string          `json:"name"`
-		Config WireBenchConfig `json:"config"`
-		Rows   []WireRow       `json:"rows"`
-	}{Name: "BENCH_6 wire-path trajectory", Config: cfg, Rows: rows}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d rows)", out, len(rows))
-}
 
 // reqBytesBaselinePath holds the committed steady-state request bytes/window
 // snapshot of serial DPR on repeating-constant traffic — the wire-economics

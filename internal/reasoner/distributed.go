@@ -49,12 +49,6 @@ type DPROptions struct {
 	// the remote compute of windows n-d+2..n; Collect still yields windows
 	// strictly in submission order.
 	MaxInFlight int
-	// Rebalance enables the adaptive rebalancer (rebalance.go): the
-	// coordinator observes per-partition load every window and, between
-	// windows, migrates partitions across workers and — when the
-	// partitioner is an *AdaptivePartitioner — splits overloaded
-	// communities. nil keeps the static round-robin assignment.
-	Rebalance *RebalanceOptions
 	// Dialer overrides how worker connections are established (nil = plain
 	// TCP). This is the seam the chaos harness (internal/chaos) injects
 	// faults through; production deployments use it for custom networking.
@@ -162,8 +156,8 @@ func (s TransportStats) MeanInFlight() float64 {
 }
 
 // PartitionLoad is one partition's observed load in the most recently
-// collected window: the rebalancer's per-partition signal, also exposed for
-// operators via DPR.PartitionLoads.
+// collected window, exposed for operators via DPR.PartitionLoads. AddWorker
+// and RemoveWorker weigh partitions by its routed items.
 type PartitionLoad struct {
 	// Partition is the global partition index.
 	Partition int
@@ -256,7 +250,6 @@ func (ps *dprSession) retire() {
 type pendingWindow struct {
 	start        time.Time
 	scratch      bool
-	window       []rdf.Triple
 	parts        [][]rdf.Triple
 	partitionLat time.Duration
 	skipped      int
@@ -294,11 +287,6 @@ type pendingLeg struct {
 type DPR struct {
 	part Partitioner
 	opts DPROptions
-	// cfg is the (post-construction) local-reasoner config: the rebalancer
-	// rebuilds dpr.locals from it when the partition count changes. Its
-	// GroundOpts.Intern is dpr.tab and its budgets are zeroed (rotation is
-	// coordinated at DPR level).
-	cfg Config
 
 	tab      *intern.Table
 	locals   []*R
@@ -322,19 +310,15 @@ type DPR struct {
 
 	// removed holds the folded counters of sessions dropped by
 	// RemoveWorker; lastLoads is the per-partition load observed by the
-	// most recent Collect; rebal is the optional adaptive rebalancer;
-	// staticRebal carries the join/leave counters that tick even without
-	// a rebalancer.
-	removed     sessionTotals
-	lastLoads   []PartitionLoad
-	lastWindow  []rdf.Triple
-	rebal       *rebalancer
-	staticRebal RebalanceStats
+	// most recent Collect.
+	removed   sessionTotals
+	lastLoads []PartitionLoad
 }
 
 // NewDPR builds a distributed reasoner: partitions are assigned round-robin
 // over the worker addresses and each distinct worker gets one session
-// hosting its partitions. Construction fails when no worker is reachable (a
+// hosting its partitions. The layout is static apart from AddWorker and
+// RemoveWorker. Construction fails when no worker is reachable (a
 // partially reachable fleet degrades to local fallback per session
 // instead).
 func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
@@ -365,7 +349,6 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 	dpr.tab = cfg.GroundOpts.Intern
 	cfg.MemoryBudget = 0
 	cfg.MemoryBudgetBytes = 0
-	dpr.cfg = cfg
 	for i := 0; i < n; i++ {
 		r, err := NewR(cfg)
 		if err != nil {
@@ -389,7 +372,8 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 
 	// One session per worker; partitions are assigned round-robin
 	// (partition i → worker i mod W). A worker beyond the partition count
-	// starts empty and idles until the rebalancer hands it work.
+	// starts empty and idles until AddWorker or RemoveWorker re-spreads the
+	// partitions.
 	w := len(opts.Workers)
 	for wi := 0; wi < w; wi++ {
 		ps := dpr.newSession(opts.Workers[wi])
@@ -397,9 +381,6 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 			ps.parts = append(ps.parts, p)
 		}
 		dpr.sessions = append(dpr.sessions, ps)
-	}
-	if opts.Rebalance != nil {
-		dpr.rebal = newRebalancer(*opts.Rebalance)
 	}
 	reachable := false
 	for _, ps := range dpr.sessions {
@@ -530,7 +511,7 @@ func (dpr *DPR) Submit(window []rdf.Triple, d *Delta) error {
 // the request simply leaves its leg unsubmitted, and Collect processes
 // those partitions locally.
 func (dpr *DPR) submit(window []rdf.Triple, scratch bool) {
-	pw := &pendingWindow{start: time.Now(), scratch: scratch, window: window}
+	pw := &pendingWindow{start: time.Now(), scratch: scratch}
 	t0 := time.Now()
 	parts, skipped := dpr.part.Partition(window)
 	pw.partitionLat = time.Since(t0)
@@ -742,7 +723,6 @@ func (dpr *DPR) Collect() (*Output, error) {
 	}
 	dpr.windows++
 	dpr.lastLoads = loads
-	dpr.lastWindow = pw.window
 
 	// Drop the legs of partition-less sessions (idle workers contribute
 	// nothing to the window).
@@ -806,13 +786,6 @@ func (dpr *DPR) Collect() (*Output, error) {
 
 	out.Latency.Total = time.Since(pw.start)
 	out.Latency.CriticalPath = out.Latency.Partition + maxTotal + out.Latency.Combine + rotate
-
-	// With the pipeline drained this is a between-windows point: let the
-	// rebalancer observe the window's loads and, if skew sustained, adapt
-	// the layout. Rebalancing never fails a window.
-	if dpr.rebal != nil && len(dpr.pending) == 0 {
-		dpr.rebal.step(dpr)
-	}
 	return out, nil
 }
 
@@ -1098,21 +1071,9 @@ func (dpr *DPR) TransportStats() TransportStats {
 }
 
 // PartitionLoads returns the per-partition load rows of the most recently
-// collected window (nil before the first Collect). The slice is reused
-// across windows; copy it to retain.
+// collected window (nil before the first Collect). Each Collect allocates a
+// fresh slice, so a returned slice stays valid; callers must not modify it.
 func (dpr *DPR) PartitionLoads() []PartitionLoad { return dpr.lastLoads }
-
-// RebalanceStats returns the adaptive rebalancer's counters (zero value
-// when DPROptions.Rebalance was nil — joins and leaves still count).
-func (dpr *DPR) RebalanceStats() RebalanceStats {
-	if dpr.rebal == nil {
-		return dpr.staticRebal
-	}
-	st := dpr.rebal.stats
-	st.Joins += dpr.staticRebal.Joins
-	st.Leaves += dpr.staticRebal.Leaves
-	return st
-}
 
 // Workers lists the current worker addresses in session order.
 func (dpr *DPR) Workers() []string {
@@ -1139,8 +1100,8 @@ func (dpr *DPR) AddWorker(addr string) error {
 		}
 	}
 	dpr.sessions = append(dpr.sessions, dpr.newSession(addr))
-	dpr.staticRebal.Joins++
-	return dpr.applyLayout(dpr.balancedAssign())
+	dpr.relayout()
+	return nil
 }
 
 // RemoveWorker shrinks the fleet between windows: the worker's partitions
@@ -1179,29 +1140,8 @@ func (dpr *DPR) RemoveWorker(addr string) error {
 	dpr.removed.crcFails += ps.accCrcFails
 	dpr.removed.opens += ps.brk.opens
 	dpr.sessions = append(dpr.sessions[:idx], dpr.sessions[idx+1:]...)
-	dpr.staticRebal.Leaves++
-	return dpr.applyLayout(dpr.balancedAssign())
-}
-
-// balancedAssign computes a partition→session assignment by longest-
-// processing-time greedy packing: partitions sorted by observed load
-// (EWMA-smoothed when the rebalancer runs, last-window items otherwise,
-// uniform before the first window), heaviest first, each onto the least
-// loaded session. Deterministic: ties break on lower index.
-func (dpr *DPR) balancedAssign() []int {
-	n := dpr.part.NumPartitions()
-	weights := make([]float64, n)
-	for p := range weights {
-		weights[p] = 1
-	}
-	if dpr.rebal != nil && len(dpr.rebal.loadEwma) == n {
-		copy(weights, dpr.rebal.loadEwma)
-	} else if len(dpr.lastLoads) == n {
-		for p, pl := range dpr.lastLoads {
-			weights[p] = float64(pl.Items) + 1
-		}
-	}
-	return assignLPT(weights, len(dpr.sessions))
+	dpr.relayout()
+	return nil
 }
 
 // assignLPT packs n weighted partitions onto k bins, heaviest first onto
@@ -1227,37 +1167,25 @@ func assignLPT(weights []float64, k int) []int {
 	return assign
 }
 
-// applyLayout installs a partition→session assignment between windows. When
-// the partitioner's partition count changed (a split), the local fallback
-// reasoners are rebuilt against the shared coordinator table first. Sessions
+// relayout reassigns partitions to the current sessions between windows
+// by longest-processing-time greedy packing: partitions sorted by the last
+// window's routed items (uniform before the first window), heaviest first,
+// each onto the least loaded session; ties break on lower index. Sessions
 // whose hosted-partition list changes are retired: the next window redials
 // them with the new partition count, ships full sub-windows, and replays the
-// request dictionary — the PR 4/6 session machinery, no new wire protocol.
-func (dpr *DPR) applyLayout(assign []int) error {
-	if len(dpr.pending) > 0 {
-		return fmt.Errorf("reasoner: %d window(s) in flight; layout changes happen between windows", len(dpr.pending))
+// request dictionary — the ordinary session machinery, no new wire
+// protocol.
+func (dpr *DPR) relayout() {
+	weights := make([]float64, len(dpr.locals))
+	for p := range weights {
+		weights[p] = 1
 	}
-	n := dpr.part.NumPartitions()
-	if len(assign) != n {
-		return fmt.Errorf("reasoner: layout of %d partitions for a %d-partition partitioner", len(assign), n)
+	for p, pl := range dpr.lastLoads {
+		weights[p] = float64(pl.Items) + 1
 	}
 	newParts := make([][]int, len(dpr.sessions))
-	for p, si := range assign {
-		if si < 0 || si >= len(dpr.sessions) {
-			return fmt.Errorf("reasoner: partition %d assigned to session %d of %d", p, si, len(dpr.sessions))
-		}
+	for p, si := range assignLPT(weights, len(dpr.sessions)) {
 		newParts[si] = append(newParts[si], p)
-	}
-	if n != len(dpr.locals) {
-		locals := make([]*R, 0, n)
-		for i := 0; i < n; i++ {
-			r, err := NewR(dpr.cfg)
-			if err != nil {
-				return err
-			}
-			locals = append(locals, r)
-		}
-		dpr.locals = locals
 	}
 	for si, ps := range dpr.sessions {
 		if slices.Equal(ps.parts, newParts[si]) {
@@ -1267,5 +1195,4 @@ func (dpr *DPR) applyLayout(assign []int) error {
 		ps.parts = newParts[si]
 		ps.base = nil
 	}
-	return nil
 }

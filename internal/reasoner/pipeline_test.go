@@ -238,7 +238,7 @@ func TestDistributedWorkerDeathMidPipeline(t *testing.T) {
 	// The books must balance: every partition window of every processed
 	// window is accounted exactly once, remote or fallback — even when legs
 	// flipped from remote to fallback mid-pipeline. A double count (or a
-	// lost leg) here is what poisoned the rebalancer's load signal.
+	// lost leg) here would poison the per-partition load rows.
 	if got, want := ts.RemoteWindows+ts.LocalFallbacks, int64(len(f.emissions)*dpr.NumPartitions()); got != want {
 		t.Errorf("books don't balance after mid-pipeline death: remote %d + fallback %d = %d, want windows x partitions = %d",
 			ts.RemoteWindows, ts.LocalFallbacks, got, want)

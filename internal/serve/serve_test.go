@@ -436,16 +436,24 @@ func TestTenantLifecycle(t *testing.T) {
 }
 
 // TestRemoteTenantsShareWorker runs two remote-backed tenants against one
-// shared transport worker (one session per tenant partition on the same
-// process) and checks both against their solo-run oracles.
+// shared transport worker (one session per tenant on the same process) and
+// checks both against their solo-run oracles. Mid-stream the fleet changes
+// under them: a second worker joins after a third of the pushes and the
+// first leaves after two thirds, and neither change may cost an answer or a
+// local fallback.
 func TestRemoteTenantsShareWorker(t *testing.T) {
 	defer testleak.Check(t)()
-	ws, err := transport.NewServer("127.0.0.1:0", reasoner.NewWorkerHandler(), transport.ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ws, err := transport.NewServer("127.0.0.1:0", reasoner.NewWorkerHandler(), transport.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go ws.Serve()
+		defer ws.Close()
+		addrs = append(addrs, ws.Addr())
 	}
-	go ws.Serve()
-	defer ws.Close()
+	first, second := addrs[0], addrs[1]
 
 	srv := NewServer(Config{Workers: 2, QueueDepth: 64})
 	defer srv.Close()
@@ -463,7 +471,7 @@ func TestRemoteTenantsShareWorker(t *testing.T) {
 		tc := TenantConfig{
 			Program: gp.Src, Inpre: gp.Inpre, Arities: gp.Arities,
 			WindowSize: 20, WindowStep: 5,
-			Workers: []string{ws.Addr()},
+			Workers: []string{first},
 			Handle:  col.handle,
 		}
 		id := fmt.Sprintf("remote-%d", i)
@@ -477,9 +485,22 @@ func TestRemoteTenantsShareWorker(t *testing.T) {
 			col     *collector
 		}{id, tc, gp.Stream(rnd, progen.Config{Derived: 3, UnaryInputs: 2, BinaryInputs: 2}, 100), col})
 	}
-	for _, tr := range runs {
-		for _, triple := range tr.triples {
-			if err := srv.Push(tr.id, triple); err != nil {
+	// Interleave the tenants' pushes so both see the join and the leave
+	// mid-stream.
+	n := len(runs[0].triples)
+	for i := 0; i < n; i++ {
+		switch i {
+		case n / 3:
+			if err := srv.AddWorker(second); err != nil {
+				t.Fatalf("AddWorker: %v", err)
+			}
+		case 2 * n / 3:
+			if err := srv.RemoveWorker(first); err != nil {
+				t.Fatalf("RemoveWorker: %v", err)
+			}
+		}
+		for _, tr := range runs {
+			if err := srv.Push(tr.id, tr.triples[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,6 +509,13 @@ func TestRemoteTenantsShareWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range runs {
+		ts, ok := srv.TenantTransportStats(tr.id)
+		if !ok {
+			t.Fatalf("%s: no transport stats for a remote tenant", tr.id)
+		}
+		if ts.LocalFallbacks != 0 {
+			t.Errorf("%s: %d local fallbacks across the join and leave", tr.id, ts.LocalFallbacks)
+		}
 		solo := tr.tc
 		solo.Workers = nil // oracle runs locally; DPR ≡ R is the invariant
 		want := soloRun(t, solo, tr.triples)

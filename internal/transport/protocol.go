@@ -12,7 +12,8 @@ import (
 // the raw triple window), multi-partition sessions with worker-side combine
 // (Hello.Partitions/MaxCombinations), and the Desync response flag.
 // Version 3: per-partition stat rows in WindowResp (PartTotalNS/PartItems —
-// the rebalancer's load signal) and byte-based memory budgets
+// the per-partition load signal behind the coordinator's PartitionLoads)
+// and byte-based memory budgets
 // (Hello.MemoryBudgetBytes).
 // Version 4: conflict-driven solving on workers (Hello.CDNL) — a v3 worker
 // would silently solve with the wrong engine, skewing any ablation, so the
@@ -160,8 +161,8 @@ type WindowResp struct {
 	Rotations int
 	// PartTotalNS/PartItems break the window down per session partition, in
 	// Hello.Partitions order: each partition's end-to-end compute time in
-	// nanoseconds and its routed input-item count. These rows are the
-	// coordinator-side rebalancer's only per-partition load signal.
+	// nanoseconds and its routed input-item count. These rows fill the
+	// coordinator's per-partition load rows (DPR.PartitionLoads).
 	PartTotalNS []int64
 	PartItems   []int
 }

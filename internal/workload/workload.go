@@ -163,24 +163,6 @@ func ResidualTraffic() []TripleSpec {
 	}
 }
 
-// CityHeavyTraffic inverts the skew of ResidualTraffic: the city-cluster
-// predicates carry 4x the weight of the car-cluster ones, so the OTHER
-// community of the residual plan receives ~80% of the window. Played after
-// a car-heavy segment it moves the hot spot — the case a design-time
-// partitioning can never follow.
-func CityHeavyTraffic() []TripleSpec {
-	city := Entity("city", EntityDivisor)
-	car := Entity("car", 2*EntityDivisor)
-	return []TripleSpec{
-		{Pred: "average_speed", S: city, O: NumRange(0, 40), Weight: 4},
-		{Pred: "car_number", S: city, O: NumRange(20, 80), Weight: 4},
-		{Pred: "traffic_light", S: city, Weight: 4},
-		{Pred: "car_in_smoke", S: car, O: Choice("high", "high", "low", "none")},
-		{Pred: "car_speed", S: car, O: NumRange(0, 3)},
-		{Pred: "car_location", S: car, O: city},
-	}
-}
-
 // TenantTraffic returns the paper workload with tenant-prefixed entity
 // vocabularies: tenant "t42" observes cities "t42city3" and cars "t42car7",
 // so no two tenants share a single entity symbol. Across N tenants the
@@ -198,49 +180,4 @@ func TenantTraffic(tenant string) []TripleSpec {
 		{Pred: "car_speed", S: car, O: NumRange(0, 6)},
 		{Pred: "car_location", S: car, O: city},
 	}
-}
-
-// Phase is one segment of a phased stream: a spec set and how many triples
-// to draw from it.
-type Phase struct {
-	Specs   []TripleSpec
-	Triples int
-}
-
-// PhasedStream concatenates deterministic segments, one generator per
-// phase (seeded seed, seed+1, ...): a stream whose statistical shape — and
-// therefore whose partition skew — changes mid-flight. Windowed over the
-// result, the phase boundaries become the moments an adaptive layout must
-// react to.
-func PhasedStream(seed int64, phases []Phase) ([]rdf.Triple, error) {
-	var out []rdf.Triple
-	for i, ph := range phases {
-		g, err := NewGenerator(seed+int64(i), ph.Specs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g.Window(ph.Triples)...)
-	}
-	return out, nil
-}
-
-// SkewedBurstyStream is the canned adaptive-rebalancing workload: a long
-// car-heavy segment (ResidualTraffic's ~80/20 split), a short burst at
-// double the car weight with an even denser car pool, then a city-heavy
-// segment that inverts the skew entirely. n is the total stream length;
-// the segments take roughly 45%, 10%, and 45% of it.
-func SkewedBurstyStream(seed int64, n int) ([]rdf.Triple, error) {
-	burst := ResidualTraffic()
-	for i := range burst {
-		if burst[i].Weight >= 4 {
-			burst[i].Weight = 8
-			burst[i].S = Entity("car", 4*EntityDivisor)
-		}
-	}
-	long := n * 45 / 100
-	return PhasedStream(seed, []Phase{
-		{Specs: ResidualTraffic(), Triples: long},
-		{Specs: burst, Triples: n - 2*long},
-		{Specs: CityHeavyTraffic(), Triples: long},
-	})
 }

@@ -102,7 +102,6 @@ type options struct {
 	cdnl             bool
 	stragglerTimeout time.Duration
 	maxInFlight      int
-	adaptive         *reasoner.RebalanceOptions
 	dialer           transport.DialFunc
 	tlsConf          *tls.Config
 	heartbeat        time.Duration
@@ -268,9 +267,6 @@ type ParallelEngine struct {
 // analysis where needed. Shared by the parallel and distributed engines.
 func buildPartitioner(p *Program, o options) (reasoner.Partitioner, *Plan, error) {
 	if o.randomK > 0 {
-		if o.adaptive != nil {
-			return nil, nil, fmt.Errorf("streamrule: adaptive rebalancing needs the dependency partitioner, not random partitioning")
-		}
 		return reasoner.NewRandomPartitioner(o.randomK, o.randomSeed), nil, nil
 	}
 	a, err := p.Analyze(o.resolution)
@@ -278,14 +274,6 @@ func buildPartitioner(p *Program, o options) (reasoner.Partitioner, *Plan, error
 		return nil, nil, err
 	}
 	plan := a.Plan
-	if o.adaptive != nil {
-		arities, err := dfp.InferArities(p.AST, p.Inpre)
-		if err != nil {
-			return nil, nil, err
-		}
-		keys := atomdep.Analyze(p.AST, plan)
-		return reasoner.NewAdaptivePartitioner(plan, keys, arities), plan, nil
-	}
 	if o.atomFanout > 0 {
 		arities, err := dfp.InferArities(p.AST, p.Inpre)
 		if err != nil {
