@@ -9,7 +9,6 @@
 //	depgraph -inpre a,b -dot input program.lp
 //	depgraph -paper P        # built-in program P (Listing 1)
 //	depgraph -paper Pprime   # P + rule r7
-//	depgraph -paper P -atoms # atom-level key analysis (§VI future work)
 package main
 
 import (
@@ -17,11 +16,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"streamrule/internal/asp/parser"
-	"streamrule/internal/atomdep"
 	"streamrule/internal/bench"
 	"streamrule/internal/core"
 )
@@ -37,7 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dot := fs.String("dot", "", "emit Graphviz for one graph: 'extended' or 'input'")
 	resolution := fs.Float64("resolution", 1.0, "Louvain resolution for the decomposing process")
 	paper := fs.String("paper", "", "use a built-in paper program: P or Pprime")
-	atoms := fs.Bool("atoms", false, "also run the atom-level key analysis per community")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -114,22 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "modularity: %.4f (resolution %.2f)\n", a.Plan.Modularity, *resolution)
 	}
 
-	if *atoms {
-		fmt.Fprintln(stdout, "\n== atom-level key analysis (§VI future work) ==")
-		an := atomdep.Analyze(prog, a.Plan)
-		for _, c := range an.Components {
-			if !c.Splittable {
-				fmt.Fprintf(stdout, "  C%d: not splittable (%s)\n", c.Community, c.Reason)
-				continue
-			}
-			var pairs []string
-			for pred, pos := range c.Key {
-				pairs = append(pairs, fmt.Sprintf("%s@%d", pred, pos))
-			}
-			sort.Strings(pairs)
-			fmt.Fprintf(stdout, "  C%d: splittable, keys: %s\n", c.Community, strings.Join(pairs, ", "))
-		}
-	}
 	return 0
 }
 

@@ -59,26 +59,6 @@ func TestDotOutputs(t *testing.T) {
 	}
 }
 
-func TestAtomAnalysis(t *testing.T) {
-	code, out, _ := runCLI(t, "-paper", "P", "-atoms")
-	if code != 0 {
-		t.Fatalf("code = %d", code)
-	}
-	if !strings.Contains(out, "atom-level key analysis") {
-		t.Errorf("out = %q", out)
-	}
-	if !strings.Contains(out, "splittable, keys:") {
-		t.Errorf("P components should be splittable: %q", out)
-	}
-	code, out, _ = runCLI(t, "-paper", "Pprime", "-atoms")
-	if code != 0 {
-		t.Fatalf("code = %d", code)
-	}
-	if !strings.Contains(out, "not splittable") {
-		t.Errorf("P' car community should not be splittable: %q", out)
-	}
-}
-
 func TestUserProgramFile(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prog.lp")

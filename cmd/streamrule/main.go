@@ -1,15 +1,14 @@
 // Command streamrule runs the full extended-StreamRule pipeline: a triple
 // stream (from a file or the synthetic paper workload) is filtered, batched
 // into windows, and reasoned over with the whole-window reasoner R, the
-// dependency-partitioned parallel reasoner PR, the atom-level partitioner
-// (PR with -atom fan-out), or the distributed reasoner DPR (partitions on
-// remote workers). The same binary also serves as a worker.
+// dependency-partitioned parallel reasoner PR, or the distributed reasoner
+// DPR (partitions on remote workers). The same binary also serves as a
+// worker.
 //
 // Usage:
 //
 //	streamrule -paper P -window 5000 -windows 4            # synthetic stream
 //	streamrule -paper Pprime -mode R -window 10000
-//	streamrule -paper P -mode PR -atom 4                   # atom-level split
 //	streamrule -program rules.lp -inpre a,b -stream s.nt   # user program
 //	streamrule -paper P -outputs traffic_jam,car_fire
 //	streamrule -worker :7070                               # serve as a worker
@@ -56,14 +55,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.String("workers", "", "comma-separated worker addresses; selects the distributed reasoner DPR")
 	straggler := fs.Duration("straggler", 0, "with -workers: per-window worker timeout before local fallback (default 10s)")
 	inflight := fs.Int("inflight", 1, "with -workers: pipeline depth — windows in flight per worker session (1 = lockstep)")
-	atom := fs.Int("atom", 0, "with -mode PR: atom-level fan-out per splittable community (0 = predicate level)")
 	window := fs.Int("window", 5000, "tuple-based window size")
 	step := fs.Int("step", 0, "sliding step (< window makes the count window sliding; the engine then grounds incrementally)")
 	windows := fs.Int("windows", 4, "number of synthetic windows to stream (with the generator)")
 	seed := fs.Int64("seed", 1, "synthetic workload seed")
 	rate := fs.Int("rate", 0, "stream rate in triples/second (0 = unpaced)")
 	budget := fs.Int("budget", 0, "memory budget in interned atoms (> 0 evicts unreferenced table entries between windows; for streams with unbounded vocabularies)")
-	budgetBytes := fs.Int64("budget-bytes", 0, "memory budget in approximate retained bytes (the byte-based successor of -budget; both may be combined)")
 	naive := fs.Bool("naive-solver", false, "use the legacy rescan propagator instead of the counter/worklist engine (ablation; full enumerations identical)")
 	cdnl := fs.Bool("cdnl", false, "use the conflict-driven solver: clause learning, backjumping, loop nogoods (answers identical; work profile differs)")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate: the worker's serving cert with -worker, the coordinator's client cert with -workers (enables TLS)")
@@ -121,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return serveTenants(stdout, stderr, src, preds, serveOpts{
 			tenants: *serveN, fleet: *fleet,
 			window: *window, step: *step, windows: *windows,
-			seed: *seed, budget: *budget, budgetBytes: *budgetBytes,
+			seed: *seed, budget: *budget,
 		})
 	}
 
@@ -135,9 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *budget > 0 {
 		opts = append(opts, streamrule.WithMemoryBudget(*budget))
-	}
-	if *budgetBytes > 0 {
-		opts = append(opts, streamrule.WithMemoryBudgetBytes(*budgetBytes))
 	}
 	if *naive {
 		opts = append(opts, streamrule.WithNaivePropagation())
@@ -159,9 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addrs := splitList(*workers)
 		if len(addrs) == 0 {
 			return fail(stderr, fmt.Errorf("-mode DPR requires -workers host1:port,host2:port"))
-		}
-		if *atom > 0 {
-			opts = append(opts, streamrule.WithAtomPartitioning(*atom))
 		}
 		if *straggler > 0 {
 			opts = append(opts, streamrule.WithStragglerTimeout(*straggler))
@@ -199,9 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		eng = de
 	case "PR":
-		if *atom > 0 {
-			opts = append(opts, streamrule.WithAtomPartitioning(*atom))
-		}
 		var pe *streamrule.ParallelEngine
 		pe, err = streamrule.NewParallelEngine(prog, opts...)
 		if err == nil {
@@ -293,9 +281,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				solveTotals.LoopNogoods)
 		}
 	}
-	if st, ok := pl.MemoryStats(); ok && (st.Budget > 0 || st.BudgetBytes > 0) {
-		fmt.Fprintf(stdout, "memory: budget=%d atoms budget-bytes=%d live=%d bytes=%d peak=%d rotations=%d shrinks=%d evicted=%d remap=%v\n",
-			st.Budget, st.BudgetBytes, st.Table.Atoms, st.Table.Bytes, st.Table.PeakAtoms,
+	if st, ok := pl.MemoryStats(); ok && st.Budget > 0 {
+		fmt.Fprintf(stdout, "memory: budget=%d atoms live=%d bytes=%d peak=%d rotations=%d shrinks=%d evicted=%d remap=%v\n",
+			st.Budget, st.Table.Atoms, st.Table.Bytes, st.Table.PeakAtoms,
 			st.Table.Rotations, st.Table.Shrinks, st.Table.EvictedAtoms, st.Table.RemapTime)
 	}
 	if ts, ok := pl.TransportStats(); ok {
@@ -368,7 +356,7 @@ type serveOpts struct {
 	tenants, fleet        int
 	window, step, windows int
 	budget                int
-	budgetBytes, seed     int64
+	seed                  int64
 }
 
 // serveTenants is the -serve mode: N concurrent tenant pipelines of the same
@@ -396,8 +384,7 @@ func serveTenants(stdout, stderr io.Writer, src string, preds []string, o serveO
 		err = srv.AddTenant(ids[i], streamrule.TenantConfig{
 			Program: src, Inpre: preds,
 			WindowSize: o.window, WindowStep: o.step,
-			MemoryBudget: o.budget, MemoryBudgetBytes: o.budgetBytes,
-			QueueDepth: items/step + 2,
+			MemoryBudget: o.budget, QueueDepth: items/step + 2,
 		})
 		if err != nil {
 			return fail(stderr, err)

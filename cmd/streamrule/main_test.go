@@ -105,16 +105,6 @@ func TestResidualProgramSolverStats(t *testing.T) {
 	}
 }
 
-func TestAtomFanout(t *testing.T) {
-	code, out, _ := runCLI(t, "-paper", "P", "-atom", "3", "-window", "800", "-windows", "1")
-	if code != 0 {
-		t.Fatalf("code = %d", code)
-	}
-	if !strings.Contains(out, "partitions: 6") { // 2 communities x 3 buckets
-		t.Errorf("out = %q", out)
-	}
-}
-
 func TestStreamFromFile(t *testing.T) {
 	dir := t.TempDir()
 	progFile := filepath.Join(dir, "rules.lp")

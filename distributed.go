@@ -121,9 +121,8 @@ type DistributedEngine struct {
 // NewDistributedEngine builds a distributed engine for the program against
 // the given worker addresses (host:port, see ServeWorker for the worker
 // side). The dependency analysis runs at construction time, exactly as in
-// NewParallelEngine, and the same partitioning options apply
-// (WithRandomPartitioning, WithAtomPartitioning). Construction fails when
-// no worker is reachable.
+// NewParallelEngine, and the same partitioning option applies
+// (WithRandomPartitioning). Construction fails when no worker is reachable.
 func NewDistributedEngine(p *Program, workers []string, opts ...Option) (*DistributedEngine, error) {
 	o := buildOptions(opts)
 	part, plan, err := buildPartitioner(p, o)

@@ -114,7 +114,7 @@ type Table struct {
 	// (strings, argument codes, map/slice overheads). It is maintained
 	// incrementally on every insertion under the write lock and recomputed
 	// from scratch by Rotate, so drift cannot accumulate across rotations.
-	// Byte-based memory budgets trigger on it; see ApproxBytes.
+	// See ApproxBytes.
 	approxBytes int64
 	// peakShrink is the peak atom count since the backing maps and slices
 	// were last right-sized. Go maps never shrink, so after a burst a
@@ -153,8 +153,7 @@ const (
 
 // ApproxBytes returns the approximate heap bytes retained by the table's
 // entries. Maintained incrementally (insertions only) and recomputed at every
-// rotation; intended for byte-based memory budgets and observability, not for
-// exact heap accounting.
+// rotation; intended for observability, not for exact heap accounting.
 func (t *Table) ApproxBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

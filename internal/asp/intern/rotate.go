@@ -48,7 +48,7 @@ type TableStats struct {
 	// RemapTime is the cumulative wall-clock time spent inside Rotate.
 	RemapTime time.Duration
 	// Bytes is the approximate heap retained by the table's entries (see
-	// Table.ApproxBytes) — the quantity byte-based memory budgets bound.
+	// Table.ApproxBytes).
 	Bytes int64
 	// Shrinks counts rotations that additionally rebuilt the backing maps
 	// and slices because the live entry count had fallen far below the

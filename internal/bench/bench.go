@@ -12,6 +12,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -167,6 +168,10 @@ type Point struct {
 	// DuplicationShare is the fraction of routed items that were duplicated
 	// copies (dependency plans on connected graphs only).
 	DuplicationShare float64
+	// LargestPartition is the mean size in items of the largest sub-window
+	// (the whole window for R): the deterministic work bound behind the
+	// critical-path latency.
+	LargestPartition float64
 }
 
 // Result is a full experiment: all systems at all sizes.
@@ -220,6 +225,7 @@ func Run(cfg Config) (*Result, error) {
 		lat, wall time.Duration
 		accuracy  float64
 		dup       float64
+		largest   int
 	}
 	for _, size := range cfg.Sizes {
 		sums := make(map[string]*acc)
@@ -243,6 +249,11 @@ func Run(cfg Config) (*Result, error) {
 				s.wall += out.Latency.Total
 				s.accuracy += reasoner.Accuracy(out.Answers, ref.Answers)
 				s.dup += out.DuplicationShare(len(window))
+				largest := len(window)
+				if len(out.PartitionSizes) > 0 {
+					largest = slices.Max(out.PartitionSizes)
+				}
+				s.largest += largest
 			}
 			record("R", ref)
 
@@ -270,6 +281,7 @@ func Run(cfg Config) (*Result, error) {
 				Wall:             s.wall / n,
 				Accuracy:         s.accuracy / float64(cfg.Repetitions),
 				DuplicationShare: s.dup / float64(cfg.Repetitions),
+				LargestPartition: float64(s.largest) / float64(cfg.Repetitions),
 			})
 		}
 	}

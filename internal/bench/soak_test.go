@@ -3,7 +3,6 @@ package bench
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"streamrule/internal/asp/intern"
 	"streamrule/internal/asp/parser"
@@ -50,8 +49,8 @@ func TestSoakBoundedMemoryEviction(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	for i, tr := range triples {
-		wd := w.AddDelta(stream.Item{Triple: tr, At: time.Unix(0, int64(i))})
+	for _, tr := range triples {
+		wd := w.AddDelta(stream.Item{Triple: tr})
 		if wd == nil {
 			continue
 		}
@@ -141,8 +140,8 @@ func TestSoakBoundedMemoryEviction(t *testing.T) {
 	}
 	cw := &stream.SlidingCountWindow{Size: size, Step: step}
 	ctrlWindows := 0
-	for i, tr := range triples {
-		wd := cw.AddDelta(stream.Item{Triple: tr, At: time.Unix(0, int64(i))})
+	for _, tr := range triples {
+		wd := cw.AddDelta(stream.Item{Triple: tr})
 		if wd == nil {
 			continue
 		}

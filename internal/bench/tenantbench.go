@@ -231,9 +231,8 @@ func soloTenantSigs(cfg TenantBenchConfig, triples []rdf.Triple) ([]string, erro
 		sigs = append(sigs, tenantSig(out))
 		return nil
 	}
-	for i, tr := range triples {
-		item := stream.Item{Triple: tr, At: time.Unix(0, int64(i)*int64(time.Millisecond))}
-		if wd := w.AddDelta(item); wd != nil {
+	for _, tr := range triples {
+		if wd := w.AddDelta(stream.Item{Triple: tr}); wd != nil {
 			var d *reasoner.Delta
 			if wd.Incremental {
 				d = &reasoner.Delta{Added: wd.Added, Retracted: wd.Retracted}

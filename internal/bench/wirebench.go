@@ -22,10 +22,9 @@ import (
 // every emission with its delta (the stream the pipeline would deliver).
 func slidingEmissions(triples []rdf.Triple, size, step int) []stream.WindowDelta {
 	w := &stream.SlidingCountWindow{Size: size, Step: step}
-	base := time.Unix(0, 0)
 	var out []stream.WindowDelta
-	for i, tr := range triples {
-		if wd := w.AddDelta(stream.Item{Triple: tr, At: base.Add(time.Duration(i) * time.Millisecond)}); wd != nil {
+	for _, tr := range triples {
+		if wd := w.AddDelta(stream.Item{Triple: tr}); wd != nil {
 			out = append(out, *wd)
 		}
 	}

@@ -20,9 +20,18 @@ import (
 // oracles never rotate, so the comparison also pins that renumbered atom IDs
 // cannot change a CDNL answer.
 type cdnlCadence struct {
-	name        string
-	budgetBytes int64 // tight byte budget: rotates nearly every window
-	every       int   // manual Rotate cadence (0 = none)
+	name   string
+	budget int // tight entry budget: rotates on most windows
+	every  int // manual Rotate cadence (0 = none)
+}
+
+// requireRotated fails a budgeted cadence whose CDNL reasoner never rotated
+// its table, so the rotation half of the gate cannot pass vacuously.
+func requireRotated(t *testing.T, label string, cad cdnlCadence, st MemoryStats) {
+	t.Helper()
+	if cad.budget > 0 && st.Table.Rotations == 0 {
+		t.Errorf("%s: budget of %d atoms never rotated the CDNL table", label, cad.budget)
+	}
 }
 
 // stepCDNLDifferential runs one window through the CDNL engine and the two
@@ -99,7 +108,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 	}
 	cadences := []cdnlCadence{
 		{name: "no-rotation"},
-		{name: "bytes-tight", budgetBytes: 6 << 10},
+		{name: "entries-tight", budget: 44},
 		{name: "manual-every-3", every: 3},
 	}
 	var cdnlTotals solve.Stats
@@ -125,7 +134,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 
 				cdnlCfg := baseCfg
 				cdnlCfg.SolveOpts.CDNL = true
-				cdnlCfg.MemoryBudgetBytes = cad.budgetBytes
+				cdnlCfg.MemoryBudget = cad.budget
 				if cad.every > 0 {
 					// Manual rotation needs a private table.
 					cdnlCfg.GroundOpts.Intern = intern.NewTable()
@@ -152,6 +161,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 						}
 					}
 				}
+				requireRotated(t, "R "+label, cad, cdnlR.Stats())
 
 				if !class.pr {
 					continue
@@ -177,6 +187,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 						}
 					}
 				}
+				requireRotated(t, "PR "+label, cad, cdnlPR.Stats())
 			}
 		}
 	}
@@ -192,7 +203,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 		emissions := emitWindows(triples, 60, 20)
 		cdnlCfg := baseCfg
 		cdnlCfg.SolveOpts.CDNL = true
-		cdnlCfg.MemoryBudgetBytes = cad.budgetBytes
+		cdnlCfg.MemoryBudget = cad.budget
 		if cad.every > 0 {
 			cdnlCfg.GroundOpts.Intern = intern.NewTable()
 		}
@@ -217,6 +228,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 				}
 			}
 		}
+		requireRotated(t, "R "+label, cad, cdnlR.Stats())
 		cdnlPR, err := NewPR(cdnlCfg, NewRandomPartitioner(3, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -233,6 +245,7 @@ func TestSolverDifferentialCDNL(t *testing.T) {
 			out := stepCDNLDifferential(t, "PR "+label, wi, wd, cdnlPR, wlPR, nvPR)
 			cdnlTotals.Add(out.SolveStats)
 		}
+		requireRotated(t, "PR "+label, cad, cdnlPR.Stats())
 	}
 
 	// The gate must not pass vacuously: across the matrix the CDNL engine has

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"streamrule/internal/asp/parser"
 	"streamrule/internal/asp/solve"
@@ -34,8 +33,8 @@ func answerSigs(answers []*solve.AnswerSet) []string {
 func emitWindows(triples []rdf.Triple, size, step int) []stream.WindowDelta {
 	w := &stream.SlidingCountWindow{Size: size, Step: step}
 	var out []stream.WindowDelta
-	for i, tr := range triples {
-		if wd := w.AddDelta(stream.Item{Triple: tr, At: timeAt(i)}); wd != nil {
+	for _, tr := range triples {
+		if wd := w.AddDelta(stream.Item{Triple: tr}); wd != nil {
 			out = append(out, *wd)
 		}
 	}
@@ -43,10 +42,6 @@ func emitWindows(triples []rdf.Triple, size, step int) []stream.WindowDelta {
 		out = append(out, stream.WindowDelta{Window: rest, Added: rest})
 	}
 	return out
-}
-
-func timeAt(i int) time.Time {
-	return time.Unix(0, int64(i)*int64(time.Millisecond))
 }
 
 // incrementalProcessor adapts R and PR to one delta-aware surface.

@@ -293,15 +293,10 @@ type DPR struct {
 	sessions []*dprSession
 	pending  []*pendingWindow
 
-	// MaxCombinations caps the answer-set cross product (see PR). It is
-	// also shipped to workers (at dial time) for the worker-side combine.
-	MaxCombinations int
-
-	budget      int
-	budgetBytes int64
-	liveBuf     []intern.AtomID
-	hello       transport.Hello
-	diffBuf     map[rdf.Triple]int
+	budget  int
+	liveBuf []intern.AtomID
+	hello   transport.Hello
+	diffBuf map[rdf.Triple]int
 
 	rounds, windows       int64
 	fullParts, deltaParts int64
@@ -339,7 +334,7 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 		return nil, fmt.Errorf("reasoner: partitioner yields %d partitions", n)
 	}
 
-	dpr := &DPR{part: part, opts: opts, budget: cfg.MemoryBudget, budgetBytes: cfg.MemoryBudgetBytes}
+	dpr := &DPR{part: part, opts: opts, budget: cfg.MemoryBudget}
 	// The coordinator owns a private table for decoded answers and local
 	// fallbacks; budget rotation is coordinated here (workers rotate their
 	// own tables independently).
@@ -348,7 +343,6 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 	}
 	dpr.tab = cfg.GroundOpts.Intern
 	cfg.MemoryBudget = 0
-	cfg.MemoryBudgetBytes = 0
 	for i := 0; i < n; i++ {
 		r, err := NewR(cfg)
 		if err != nil {
@@ -367,7 +361,6 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 		CDNL:              cfg.SolveOpts.CDNL,
 		MaxAtoms:          cfg.GroundOpts.MaxAtoms,
 		MemoryBudget:      dpr.budget,
-		MemoryBudgetBytes: dpr.budgetBytes,
 	}
 
 	// One session per worker; partitions are assigned round-robin
@@ -411,7 +404,6 @@ func (dpr *DPR) dial(ps *dprSession) error {
 	ps.retire()
 	hello := dpr.hello
 	hello.Partitions = len(ps.parts)
-	hello.MaxCombinations = dpr.MaxCombinations
 	c, err := transport.Dial(ps.addr, &hello, transport.ClientOptions{
 		DialTimeout: dpr.opts.DialTimeout,
 		MaxFrame:    dpr.opts.MaxFrame,
@@ -772,7 +764,7 @@ func (dpr *DPR) Collect() (*Output, error) {
 	for i, res := range results {
 		perLeg[i] = res.Answers
 	}
-	out.Answers = Combine(perLeg, dpr.maxComb())
+	out.Answers = Combine(perLeg, DefaultMaxCombinations)
 	// Cross-worker combine only: each leg's own combine already lives in
 	// its Latency.Total (the worker folds CombineNS into TotalNS, and the
 	// fallback leg adds its combine to Total) — adding the max leg combine
@@ -787,13 +779,6 @@ func (dpr *DPR) Collect() (*Output, error) {
 	out.Latency.Total = time.Since(pw.start)
 	out.Latency.CriticalPath = out.Latency.Partition + maxTotal + out.Latency.Combine + rotate
 	return out, nil
-}
-
-func (dpr *DPR) maxComb() int {
-	if dpr.MaxCombinations > 0 {
-		return dpr.MaxCombinations
-	}
-	return DefaultMaxCombinations
 }
 
 // collectLeg finishes one session's leg of a window: await and decode the
@@ -959,7 +944,7 @@ func (dpr *DPR) combineLeg(outs []*Output) *Output {
 	for i, out := range outs {
 		perPartition[i] = out.Answers
 	}
-	leg.Answers = Combine(perPartition, dpr.maxComb())
+	leg.Answers = Combine(perPartition, DefaultMaxCombinations)
 	leg.Latency.Combine = time.Since(t0)
 	leg.Latency.Total += leg.Latency.Combine
 	return leg

@@ -54,17 +54,15 @@ func TestElasticDifferential(t *testing.T) {
 	// so any divergence here is the join/leave re-layout's fault, not the
 	// plan's.
 	programs := []struct {
-		name        string
-		seed        int64
-		cfg         progen.Config
-		budget      int
-		budgetBytes int64
+		name   string
+		seed   int64
+		cfg    progen.Config
+		budget int
 	}{
-		{"flat", 900, progen.Config{Derived: 3}, 0, 0},
-		{"negation-heavy", 901, progen.Config{Derived: 5, UnaryInputs: 2, BinaryInputs: 2}, 0, 0},
-		{"recursive", 902, progen.Config{Derived: 3, Recursion: true, Consts: 4}, 0, 0},
-		{"flat-fresh-budgeted", 905, progen.Config{Derived: 3, Fresh: 0.6}, 96, 0},
-		{"flat-fresh-byte-budgeted", 905, progen.Config{Derived: 3, Fresh: 0.6}, 0, 48 << 10},
+		{"flat", 900, progen.Config{Derived: 3}, 0},
+		{"negation-heavy", 901, progen.Config{Derived: 5, UnaryInputs: 2, BinaryInputs: 2}, 0},
+		{"recursive", 902, progen.Config{Derived: 3, Recursion: true, Consts: 4}, 0},
+		{"flat-fresh-budgeted", 905, progen.Config{Derived: 3, Fresh: 0.6}, 96},
 	}
 	workers := startWorkers(t, 3)
 	for _, pc := range programs {
@@ -78,7 +76,7 @@ func TestElasticDifferential(t *testing.T) {
 			}
 			cfg := Config{Program: prog, Inpre: gp.Inpre, Arities: dfp.Arities(gp.Arities)}
 			var triples []rdf.Triple
-			if pc.budget > 0 || pc.budgetBytes > 0 {
+			if pc.budget > 0 {
 				seq := 0
 				triples = gp.StreamFresh(rnd, pc.cfg, 160, &seq)
 			} else {
@@ -92,7 +90,6 @@ func TestElasticDifferential(t *testing.T) {
 
 			dprCfg := cfg
 			dprCfg.MemoryBudget = pc.budget
-			dprCfg.MemoryBudgetBytes = pc.budgetBytes
 			dpr, err := NewDPR(dprCfg, NewPlanPartitioner(analysis.Plan), testDPROptions(gp.Src, workers[:2]))
 			if err != nil {
 				t.Fatalf("NewDPR: %v", err)

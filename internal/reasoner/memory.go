@@ -26,10 +26,8 @@ import (
 // rotations, cumulative remap time).
 type MemoryStats struct {
 	// Budget is the configured MemoryBudget in table entries (0 = no
-	// entry-count bound).
+	// bound).
 	Budget int
-	// BudgetBytes is the configured MemoryBudgetBytes (0 = no byte bound).
-	BudgetBytes int64
 	// Table is the snapshot of the reasoner's interning table. For the
 	// distributed reasoner it describes the coordinator's answer table;
 	// worker tables are remote (see WindowResp.LiveAtoms for their
@@ -42,34 +40,25 @@ type MemoryStats struct {
 
 // Stats returns the reasoner's memory metrics.
 func (r *R) Stats() MemoryStats {
-	return MemoryStats{Budget: r.cfg.MemoryBudget, BudgetBytes: r.cfg.MemoryBudgetBytes, Table: r.tab.Stats()}
+	return MemoryStats{Budget: r.cfg.MemoryBudget, Table: r.tab.Stats()}
 }
 
 // Stats returns the parallel reasoner's memory metrics. All partition
 // reasoners share one table, so a single snapshot describes them all.
 func (pr *PR) Stats() MemoryStats {
-	return MemoryStats{Budget: pr.budget, BudgetBytes: pr.budgetBytes, Table: pr.reasoners[0].tab.Stats()}
-}
-
-// overBudget reports whether a table exceeds either configured bound — the
-// entry-count knob, the byte knob, or both.
-func overBudget(tab *intern.Table, entries int, bytes int64) bool {
-	if entries > 0 && tab.NumAtoms() > entries {
-		return true
-	}
-	return bytes > 0 && tab.ApproxBytes() > bytes
+	return MemoryStats{Budget: pr.budget, Table: pr.reasoners[0].tab.Stats()}
 }
 
 // beginWindow opens a new table epoch for a budgeted reasoner, so that
 // "touched in the current epoch" coincides with "referenced by this window".
 func (r *R) beginWindow() {
-	if r.cfg.budgeted() {
+	if r.cfg.MemoryBudget > 0 {
 		r.tab.AdvanceEpoch()
 	}
 }
 
 func (pr *PR) beginWindow() {
-	if pr.budget > 0 || pr.budgetBytes > 0 {
+	if pr.budget > 0 {
 		pr.reasoners[0].tab.AdvanceEpoch()
 	}
 }
@@ -85,20 +74,20 @@ func (pr *PR) beginWindow() {
 // atoms, keys, and key-based operations of retained sets remain valid
 // forever; only their raw IDs go stale.
 func (r *R) maybeRotate(out *Output) {
-	if !r.cfg.budgeted() {
+	if r.cfg.MemoryBudget <= 0 {
 		return
 	}
-	if overBudget(r.tab, r.cfg.MemoryBudget, r.cfg.MemoryBudgetBytes) {
+	if r.tab.NumAtoms() > r.cfg.MemoryBudget {
 		_ = r.rotateWith(out.Answers)
 	}
 	materializeAnswers(out.Answers)
 }
 
 func (pr *PR) maybeRotate(out *Output) {
-	if pr.budget <= 0 && pr.budgetBytes <= 0 {
+	if pr.budget <= 0 {
 		return
 	}
-	if overBudget(pr.reasoners[0].tab, pr.budget, pr.budgetBytes) {
+	if pr.reasoners[0].tab.NumAtoms() > pr.budget {
 		_ = pr.rotateWith(out.Answers)
 	}
 	materializeAnswers(out.Answers)

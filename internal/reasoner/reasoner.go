@@ -48,22 +48,8 @@ type Config struct {
 	// windows materialize their answer sets eagerly, so retained sets keep
 	// valid atoms/keys across later rotations; their raw IDs are valid only
 	// until the next window. See memory.go.
-	//
-	// Deprecated: MemoryBudget counts table ENTRIES, so N atoms over long
-	// symbols can blow the real heap budget while N short ones rotate
-	// needlessly. Prefer MemoryBudgetBytes; the entry-count knob remains as
-	// an alias and both may be combined (rotation triggers when either is
-	// exceeded).
 	MemoryBudget int
-	// MemoryBudgetBytes bounds the interning table by approximate retained
-	// bytes (intern.Table.ApproxBytes) instead of entry count — the
-	// byte-based successor of MemoryBudget, with identical rotation
-	// semantics. 0 disables the byte bound.
-	MemoryBudgetBytes int64
 }
-
-// budgeted reports whether any memory bound is configured.
-func (c *Config) budgeted() bool { return c.MemoryBudget > 0 || c.MemoryBudgetBytes > 0 }
 
 // Latency breaks the processing time of one window into the phases the
 // paper discusses. For PR, Convert/Ground/Solve are the maxima across the
@@ -183,7 +169,7 @@ func NewR(cfg Config) (*R, error) {
 			return nil, err
 		}
 	}
-	if cfg.budgeted() && cfg.GroundOpts.Intern == nil {
+	if cfg.MemoryBudget > 0 && cfg.GroundOpts.Intern == nil {
 		// A budgeted reasoner rotates its table, which invalidates interned
 		// IDs; it must own the table rather than share the process-wide
 		// default with unsuspecting components.
@@ -487,9 +473,6 @@ func (r *R) filter(m *solve.AnswerSet) *solve.AnswerSet {
 type PR struct {
 	part      Partitioner
 	reasoners []*R
-	// MaxCombinations caps the cross-product of per-partition answer sets
-	// combined by the combining handler (0 means DefaultMaxCombinations).
-	MaxCombinations int
 	// Sequential runs the partition reasoners one after another instead of
 	// in parallel goroutines. NewPR enables it automatically when the host
 	// has fewer available cores than partitions: interleaved goroutines on
@@ -501,14 +484,13 @@ type PR struct {
 	// budget is the PR-level MemoryBudget: all partition reasoners share one
 	// interning table, so rotation must be coordinated here, after every
 	// partition has quiesced (memory.go). The per-partition reasoners run
-	// with budget 0. budgetBytes is the byte-based counterpart
-	// (Config.MemoryBudgetBytes).
-	budget      int
-	budgetBytes int64
-	liveBuf     []intern.AtomID
+	// with budget 0.
+	budget  int
+	liveBuf []intern.AtomID
 }
 
-// DefaultMaxCombinations bounds the answer-set cross product.
+// DefaultMaxCombinations bounds the answer-set cross product of the
+// combining handler.
 const DefaultMaxCombinations = 64
 
 // NumPartitions returns the number of reasoner copies (= partitions).
@@ -523,15 +505,14 @@ func NewPR(cfg Config, part Partitioner) (*PR, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("reasoner: partitioner yields %d partitions", n)
 	}
-	pr := &PR{part: part, Sequential: runtime.GOMAXPROCS(0) < n, budget: cfg.MemoryBudget, budgetBytes: cfg.MemoryBudgetBytes}
-	if cfg.budgeted() {
+	pr := &PR{part: part, Sequential: runtime.GOMAXPROCS(0) < n, budget: cfg.MemoryBudget}
+	if cfg.MemoryBudget > 0 {
 		if cfg.GroundOpts.Intern == nil {
 			cfg.GroundOpts.Intern = intern.NewTable()
 		}
 		// Partition reasoners share the table; rotation is coordinated at
 		// the PR level between windows, never by a single partition.
 		cfg.MemoryBudget = 0
-		cfg.MemoryBudgetBytes = 0
 	}
 	for i := 0; i < n; i++ {
 		r, err := NewR(cfg)
@@ -630,15 +611,11 @@ func (pr *PR) process(window []rdf.Triple, processPart func(*R, []rdf.Triple) (*
 	}
 
 	t0 = time.Now()
-	max := pr.MaxCombinations
-	if max <= 0 {
-		max = DefaultMaxCombinations
-	}
 	perPartition := make([][]*solve.AnswerSet, len(results))
 	for i, res := range results {
 		perPartition[i] = res.Answers
 	}
-	out.Answers = Combine(perPartition, max)
+	out.Answers = Combine(perPartition, DefaultMaxCombinations)
 	out.Latency.Combine = time.Since(t0)
 
 	// Coordinated table rotation: all partitions have quiesced, so the

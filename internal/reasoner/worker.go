@@ -63,13 +63,11 @@ func (h *WorkerHandler) NewSession(hello *transport.Hello) (transport.Session, e
 		n = 1
 	}
 	s := &workerSession{
-		tab:         cfg.GroundOpts.Intern,
-		enc:         intern.NewWireEncoder(),
-		reqDec:      intern.NewWireDecoder(nil),
-		budget:      hello.MemoryBudget,
-		budgetBytes: hello.MemoryBudgetBytes,
-		maxComb:     hello.MaxCombinations,
-		wins:        make([]partWindow, n),
+		tab:    cfg.GroundOpts.Intern,
+		enc:    intern.NewWireEncoder(),
+		reqDec: intern.NewWireDecoder(nil),
+		budget: hello.MemoryBudget,
+		wins:   make([]partWindow, n),
 	}
 	for i := 0; i < n; i++ {
 		r, err := NewR(cfg)
@@ -93,15 +91,13 @@ type partWindow struct {
 // decoder, and the maintained sub-windows the request deltas apply to. The
 // transport serves sessions sequentially, so no locking is needed.
 type workerSession struct {
-	rs          []*R
-	tab         *intern.Table
-	enc         *intern.WireEncoder
-	reqDec      *intern.WireDecoder
-	budget      int
-	budgetBytes int64
-	maxComb     int
-	wins        []partWindow
-	liveBuf     []intern.AtomID
+	rs      []*R
+	tab     *intern.Table
+	enc     *intern.WireEncoder
+	reqDec  *intern.WireDecoder
+	budget  int
+	wins    []partWindow
+	liveBuf []intern.AtomID
 }
 
 // desyncResp builds the teardown response for a request the session cannot
@@ -207,7 +203,7 @@ func (s *workerSession) decodeTriples(words []uint64) ([]rdf.Triple, error) {
 // coordinator forces from-scratch), combine the partitions' answers, and
 // re-key them into portable wire form.
 func (s *workerSession) Window(req *transport.WindowReq) *transport.WindowResp {
-	if s.budget > 0 || s.budgetBytes > 0 {
+	if s.budget > 0 {
 		s.tab.AdvanceEpoch()
 	}
 	if err := s.reqDec.Apply(&req.Dict); err != nil {
@@ -294,15 +290,11 @@ func (s *workerSession) Window(req *transport.WindowReq) *transport.WindowResp {
 	// many partitions the session hosts (unions are associative, so the
 	// coordinator's combine across workers completes the cross product).
 	t0 := time.Now()
-	max := s.maxComb
-	if max <= 0 {
-		max = DefaultMaxCombinations
-	}
 	perPartition := make([][]*solve.AnswerSet, len(outs))
 	for i, out := range outs {
 		perPartition[i] = out.Answers
 	}
-	combined := Combine(perPartition, max)
+	combined := Combine(perPartition, DefaultMaxCombinations)
 	resp.CombineNS = time.Since(t0).Nanoseconds()
 	resp.TotalNS += resp.CombineNS
 
@@ -319,8 +311,7 @@ func (s *workerSession) Window(req *transport.WindowReq) *transport.WindowResp {
 	// partitions' grounder state, drop everything else. The encoder's ID
 	// caches invalidate themselves on the next Begin (the content-keyed
 	// dictionary survives, nothing is re-shipped).
-	if (s.budget > 0 && s.tab.NumAtoms() > s.budget) ||
-		(s.budgetBytes > 0 && s.tab.ApproxBytes() > s.budgetBytes) {
+	if s.budget > 0 && s.tab.NumAtoms() > s.budget {
 		live := s.liveBuf[:0]
 		for _, r := range s.rs {
 			live = r.appendLive(live)

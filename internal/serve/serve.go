@@ -68,11 +68,10 @@ type TenantConfig struct {
 	WindowSize int
 	// WindowStep < WindowSize makes the window sliding.
 	WindowStep int
-	// MemoryBudget / MemoryBudgetBytes bound the tenant's private intern
-	// table exactly as in reasoner.Config. Zero = unbounded, but the table
-	// is still private to the tenant.
-	MemoryBudget      int
-	MemoryBudgetBytes int64
+	// MemoryBudget bounds the tenant's private intern table exactly as in
+	// reasoner.Config. Zero = unbounded, but the table is still private to
+	// the tenant.
+	MemoryBudget int
 	// QueueDepth overrides the server's per-tenant ingress bound (windows).
 	QueueDepth int
 	// Overflow selects shed-oldest (default) or blocking backpressure.
@@ -137,7 +136,6 @@ type tenant struct {
 	deficit int  // DRR credit in window items
 	reseed  bool // next dispatched window must drop its delta
 	removed bool
-	seq     int64 // synthetic item clock for count windows
 
 	stats     TenantStats
 	latencies latencyRing
@@ -242,14 +240,13 @@ func buildEngine(tc TenantConfig) (engine, error) {
 		return nil, err
 	}
 	cfg := reasoner.Config{
-		Program:           prog,
-		Inpre:             tc.Inpre,
-		Arities:           dfp.Arities(tc.Arities),
-		OutputPreds:       tc.OutputPreds,
-		MemoryBudget:      tc.MemoryBudget,
-		MemoryBudgetBytes: tc.MemoryBudgetBytes,
+		Program:      prog,
+		Inpre:        tc.Inpre,
+		Arities:      dfp.Arities(tc.Arities),
+		OutputPreds:  tc.OutputPreds,
+		MemoryBudget: tc.MemoryBudget,
 	}
-	if cfg.MemoryBudget == 0 && cfg.MemoryBudgetBytes == 0 {
+	if cfg.MemoryBudget == 0 {
 		cfg.GroundOpts.Intern = intern.NewTable()
 	}
 	if len(tc.Workers) == 0 {
@@ -286,8 +283,7 @@ func (s *Server) Push(id string, tr rdf.Triple) error {
 	if err != nil {
 		return err
 	}
-	t.seq++
-	item := stream.Item{Triple: tr, At: time.Unix(0, t.seq*int64(time.Millisecond))}
+	item := stream.Item{Triple: tr}
 	var wd *stream.WindowDelta
 	if t.dw != nil {
 		wd = t.dw.AddDelta(item)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"streamrule/internal/asp/intern"
 	"streamrule/internal/asp/parser"
@@ -61,9 +60,9 @@ func soloRun(t *testing.T, tc TenantConfig, triples []rdf.Triple) []string {
 	cfg := reasoner.Config{
 		Program: prog, Inpre: tc.Inpre, Arities: dfp.Arities(tc.Arities),
 		OutputPreds:  tc.OutputPreds,
-		MemoryBudget: tc.MemoryBudget, MemoryBudgetBytes: tc.MemoryBudgetBytes,
+		MemoryBudget: tc.MemoryBudget,
 	}
-	if cfg.MemoryBudget == 0 && cfg.MemoryBudgetBytes == 0 {
+	if cfg.MemoryBudget == 0 {
 		cfg.GroundOpts.Intern = intern.NewTable()
 	}
 	r, err := reasoner.NewR(cfg)
@@ -85,8 +84,8 @@ func soloRun(t *testing.T, tc TenantConfig, triples []rdf.Triple) []string {
 		}
 		sigs = append(sigs, sigOf(out))
 	}
-	for i, tr := range triples {
-		item := stream.Item{Triple: tr, At: timeAt(i)}
+	for _, tr := range triples {
+		item := stream.Item{Triple: tr}
 		if dw != nil {
 			if wd := dw.AddDelta(item); wd != nil {
 				var d *reasoner.Delta
@@ -103,10 +102,6 @@ func soloRun(t *testing.T, tc TenantConfig, triples []rdf.Triple) []string {
 		process(rest, nil)
 	}
 	return sigs
-}
-
-func timeAt(i int) time.Time {
-	return time.Unix(0, int64(i)*int64(time.Millisecond))
 }
 
 // TestMultiTenantDifferential is the tentpole correctness gate: N concurrent
@@ -275,11 +270,11 @@ func TestShedOldestBreaksDeltaChainSafely(t *testing.T) {
 	triples := shedTriples(27) // emits windows at items 12,15,18,21,24,27
 	var kept [][]rdf.Triple
 	w := &stream.SlidingCountWindow{Size: 12, Step: 3}
-	for i, tr := range triples {
+	for _, tr := range triples {
 		if err := srv.Push("shedder", tr); err != nil {
 			t.Fatal(err)
 		}
-		if win := w.Add(stream.Item{Triple: tr, At: timeAt(i)}); win != nil {
+		if win := w.Add(stream.Item{Triple: tr}); win != nil {
 			kept = append(kept, win)
 		}
 	}

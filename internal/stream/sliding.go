@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"time"
-
-	"streamrule/internal/rdf"
-)
+import "streamrule/internal/rdf"
 
 // SlidingCountWindow emits a window of the last Size items every Step items
 // (Step <= Size; Step == Size degenerates to CountWindow). It is the
@@ -94,114 +90,5 @@ func (w *SlidingCountWindow) Flush() []rdf.Triple {
 	w.prev = nil
 	w.seen = 0
 	w.sinceEmit = 0
-	return out
-}
-
-// SlidingTimeWindow emits, on every arriving item, nothing — and on items
-// that cross a Step boundary, the content of the last Span of stream time.
-//
-// SlidingTimeWindow implements DeltaWindower: consecutive emissions report
-// the items that entered and left the span, computed from arrival indexes
-// (items that both arrived and expired between two emissions appear in
-// neither delta nor window, keeping the delta exact).
-type SlidingTimeWindow struct {
-	Span time.Duration
-	Step time.Duration
-	buf  []Item
-	next time.Time
-	// arrived counts all items ever offered; prevStart is the arrival index
-	// of prev[0].
-	arrived   int
-	prev      []rdf.Triple
-	prevStart int
-}
-
-// Add implements Windower.
-func (w *SlidingTimeWindow) Add(it Item) []rdf.Triple {
-	if wd := w.AddDelta(it); wd != nil {
-		return wd.Window
-	}
-	return nil
-}
-
-// AddDelta implements DeltaWindower.
-func (w *SlidingTimeWindow) AddDelta(it Item) *WindowDelta {
-	step := w.Step
-	if step <= 0 || step > w.Span {
-		step = w.Span
-	}
-	if w.next.IsZero() {
-		w.next = it.At.Add(w.Span)
-	}
-	w.buf = append(w.buf, it)
-	w.arrived++
-	// Evict items older than Span relative to the newest.
-	cutoff := it.At.Add(-w.Span)
-	start := 0
-	for start < len(w.buf) && !w.buf[start].At.After(cutoff) {
-		start++
-	}
-	w.buf = w.buf[start:]
-	if it.At.Before(w.next) {
-		return nil
-	}
-	w.next = w.next.Add(step)
-	out := make([]rdf.Triple, len(w.buf))
-	for i, b := range w.buf {
-		out[i] = b.Triple
-	}
-	curStart := w.arrived - len(w.buf)
-	wd := &WindowDelta{Window: out}
-	if w.prev != nil {
-		prevEnd := w.prevStart + len(w.prev) // exclusive arrival index
-		wd.Incremental = true
-		if n := curStart - w.prevStart; n < len(w.prev) {
-			wd.Retracted = w.prev[:n]
-		} else {
-			wd.Retracted = w.prev
-		}
-		// prevEnd < arrived always (the triggering item arrived after the
-		// previous emission), so some suffix of out is new.
-		if from := prevEnd - curStart; from > 0 {
-			wd.Added = out[from:]
-		} else {
-			wd.Added = out
-		}
-	} else {
-		wd.Added = out
-	}
-	w.prev = out
-	w.prevStart = curStart
-	return wd
-}
-
-// Flush implements Windower: like SlidingCountWindow, it returns only the
-// items no emission ever covered — the buffered items that arrived after the
-// last emitted window, or the whole buffer when nothing was emitted — and
-// resets the window state.
-func (w *SlidingTimeWindow) Flush() []rdf.Triple {
-	buf := w.buf
-	if w.prev != nil {
-		prevEnd := w.prevStart + len(w.prev)
-		if covered := prevEnd - (w.arrived - len(w.buf)); covered > 0 {
-			if covered >= len(buf) {
-				buf = nil
-			} else {
-				buf = buf[covered:]
-			}
-		}
-	}
-	var out []rdf.Triple
-	if len(buf) > 0 {
-		out = make([]rdf.Triple, len(buf))
-		for i, b := range buf {
-			out[i] = b.Triple
-		}
-	}
-	w.buf = nil
-	w.next = time.Time{}
-	w.arrived = 0
-	w.prev = nil
-	w.prevStart = 0
 	return out
 }

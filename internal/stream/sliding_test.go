@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"streamrule/internal/rdf"
 )
 
 func feedCount(w Windower, n int) [][]rdf.Triple {
 	var wins [][]rdf.Triple
-	base := time.Now()
 	for i := 0; i < n; i++ {
-		it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"},
-			At: base.Add(time.Duration(i) * time.Millisecond)}
+		it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"}}
 		if win := w.Add(it); win != nil {
 			wins = append(wins, win)
 		}
@@ -74,29 +71,6 @@ func TestSlidingCountPartialFlush(t *testing.T) {
 	}
 }
 
-func TestSlidingTimeWindow(t *testing.T) {
-	w := &SlidingTimeWindow{Span: 10 * time.Millisecond, Step: 5 * time.Millisecond}
-	base := time.Now()
-	var wins [][]rdf.Triple
-	for i := 0; i < 30; i++ {
-		it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"},
-			At: base.Add(time.Duration(i) * time.Millisecond)}
-		if win := w.Add(it); win != nil {
-			wins = append(wins, win)
-		}
-	}
-	if len(wins) < 3 {
-		t.Fatalf("windows = %d", len(wins))
-	}
-	// Every emitted window covers at most Span of stream time: <= 11 items
-	// at 1 item/ms (cutoff is exclusive at the old end).
-	for _, win := range wins {
-		if len(win) > 11 {
-			t.Errorf("window too wide: %d items", len(win))
-		}
-	}
-}
-
 // applyDelta replays a WindowDelta onto a multiset of triples and reports
 // whether the result matches the emitted window.
 func applyDelta(t *testing.T, cur map[rdf.Triple]int, wd WindowDelta) {
@@ -134,12 +108,10 @@ func TestSlidingCountWindowDeltas(t *testing.T) {
 		for step := 1; step <= size; step++ {
 			w := &SlidingCountWindow{Size: size, Step: step}
 			cur := map[rdf.Triple]int{}
-			base := time.Unix(0, 0)
 			emitted := 0
 			for i := 0; i < 40; i++ {
 				// Repeating subjects exercise multiset deltas.
-				it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i%7), P: "p", O: "o"},
-					At: base.Add(time.Duration(i))}
+				it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i%7), P: "p", O: "o"}}
 				wd := w.AddDelta(it)
 				if wd == nil {
 					continue
@@ -164,29 +136,6 @@ func TestSlidingCountWindowDeltas(t *testing.T) {
 				t.Fatalf("size=%d step=%d: no emissions", size, step)
 			}
 		}
-	}
-}
-
-func TestSlidingTimeWindowDeltas(t *testing.T) {
-	w := &SlidingTimeWindow{Span: 10 * time.Millisecond, Step: 3 * time.Millisecond}
-	cur := map[rdf.Triple]int{}
-	base := time.Unix(0, 0)
-	emitted := 0
-	for i := 0; i < 60; i++ {
-		it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i%5), P: "p", O: "o"},
-			At: base.Add(time.Duration(i) * time.Millisecond)}
-		wd := w.AddDelta(it)
-		if wd == nil {
-			continue
-		}
-		emitted++
-		if emitted > 1 && !wd.Incremental {
-			t.Fatalf("emission %d not incremental", emitted)
-		}
-		applyDelta(t, cur, *wd)
-	}
-	if emitted < 3 {
-		t.Fatalf("emissions = %d", emitted)
 	}
 }
 
@@ -225,44 +174,6 @@ func TestSlidingCountWindowFlushContract(t *testing.T) {
 	}
 }
 
-// The time window honors the same Flush contract: only items no emission
-// ever covered are delivered.
-func TestSlidingTimeWindowFlushContract(t *testing.T) {
-	w := &SlidingTimeWindow{Span: 10 * time.Millisecond, Step: 4 * time.Millisecond}
-	base := time.Unix(0, 0)
-	feed := func(from, to int) (emitted int, lastWin []rdf.Triple) {
-		for i := from; i < to; i++ {
-			it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"},
-				At: base.Add(time.Duration(i) * time.Millisecond)}
-			if wd := w.AddDelta(it); wd != nil {
-				emitted++
-				lastWin = wd.Window
-			}
-		}
-		return emitted, lastWin
-	}
-	// No emission yet: Flush returns the whole partial buffer.
-	if n, _ := feed(0, 5); n != 0 {
-		t.Fatalf("unexpected emission after 5 items")
-	}
-	if rest := w.Flush(); len(rest) != 5 {
-		t.Fatalf("pre-emission flush = %d items, want 5", len(rest))
-	}
-	// After an emission: only the items that arrived after it come back.
-	n, lastWin := feed(0, 15)
-	if n == 0 {
-		t.Fatal("expected at least one emission")
-	}
-	rest := w.Flush()
-	for _, tr := range rest {
-		for _, covered := range lastWin {
-			if tr == covered {
-				t.Fatalf("flush re-delivered %v, already covered by the last window", tr)
-			}
-		}
-	}
-}
-
 // Property: sliding count windows always contain the most recent Size items
 // in arrival order.
 func TestQuickSlidingCountRecency(t *testing.T) {
@@ -270,12 +181,10 @@ func TestQuickSlidingCountRecency(t *testing.T) {
 		size := int(szRaw%8) + 2
 		step := int(stepRaw%uint8(size)) + 1
 		w := &SlidingCountWindow{Size: size, Step: step}
-		base := time.Unix(0, 0)
 		count := 0
 		ok := true
 		for i := 0; i < 40; i++ {
-			it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"},
-				At: base.Add(time.Duration(i))}
+			it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"}}
 			count++
 			if win := w.Add(it); win != nil {
 				if len(win) != size {

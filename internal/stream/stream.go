@@ -1,5 +1,5 @@
 // Package stream provides the stream-processing layer of the pipeline:
-// sources of timestamped RDF triples, a pluggable filter standing in for the
+// sources of RDF triples, a pluggable filter standing in for the
 // continuous query processor (CQELS in the original StreamRule), and window
 // operators that batch the filtered stream into the input windows the
 // reasoner processes per computation.
@@ -12,10 +12,9 @@ import (
 	"streamrule/internal/rdf"
 )
 
-// Item is a stream element: a triple plus its arrival timestamp.
+// Item is a stream element.
 type Item struct {
 	Triple rdf.Triple
-	At     time.Time
 }
 
 // Source produces stream items on a channel until the context is cancelled
@@ -31,18 +30,11 @@ type Source interface {
 type SliceSource struct {
 	Triples []rdf.Triple
 	Rate    int
-	// Start is the timestamp assigned to the first item; zero means
-	// time.Now at Run time.
-	Start time.Time
 }
 
 // Run implements Source.
 func (s *SliceSource) Run(ctx context.Context, out chan<- Item) error {
 	defer close(out)
-	start := s.Start
-	if start.IsZero() {
-		start = time.Now()
-	}
 	var tick <-chan time.Time
 	var ticker *time.Ticker
 	if s.Rate > 0 {
@@ -50,7 +42,7 @@ func (s *SliceSource) Run(ctx context.Context, out chan<- Item) error {
 		defer ticker.Stop()
 		tick = ticker.C
 	}
-	for i, t := range s.Triples {
+	for _, t := range s.Triples {
 		if tick != nil {
 			select {
 			case <-ctx.Done():
@@ -58,11 +50,10 @@ func (s *SliceSource) Run(ctx context.Context, out chan<- Item) error {
 			case <-tick:
 			}
 		}
-		item := Item{Triple: t, At: start.Add(time.Duration(i) * time.Millisecond)}
 		select {
 		case <-ctx.Done():
 			return nil
-		case out <- item:
+		case out <- Item{Triple: t}:
 		}
 	}
 	return nil
@@ -141,50 +132,12 @@ func (w *CountWindow) Flush() []rdf.Triple {
 	return out
 }
 
-// TimeWindow batches items into fixed, non-overlapping wall-time spans based
-// on item timestamps.
-type TimeWindow struct {
-	Span  time.Duration
-	buf   []rdf.Triple
-	start time.Time
-}
-
-// Add implements Windower.
-func (w *TimeWindow) Add(it Item) []rdf.Triple {
-	if w.start.IsZero() {
-		w.start = it.At
-	}
-	if it.At.Sub(w.start) >= w.Span && len(w.buf) > 0 {
-		out := w.buf
-		w.buf = []rdf.Triple{it.Triple}
-		w.start = it.At
-		return out
-	}
-	w.buf = append(w.buf, it.Triple)
-	return nil
-}
-
-// Flush implements Windower.
-func (w *TimeWindow) Flush() []rdf.Triple {
-	out := w.buf
-	w.buf = nil
-	w.start = time.Time{}
-	return out
-}
-
-// Windows runs source -> filter -> windower and invokes handle for every
-// completed window (including the final partial window, if non-empty).
-// It propagates the source error and stops early if handle returns an error.
-func Windows(ctx context.Context, src Source, filter Filter, w Windower, handle func([]rdf.Triple) error) error {
-	return WindowsDelta(ctx, src, filter, w, func(wd WindowDelta) error {
-		return handle(wd.Window)
-	})
-}
-
-// WindowsDelta is Windows with delta-aware delivery: when the windower
-// implements DeltaWindower, each completed window carries the added/retracted
-// triples relative to the previous emission; otherwise every window is
-// delivered as a non-incremental delta (Added == Window).
+// WindowsDelta runs source -> filter -> windower and invokes handle for every
+// completed window (including the final partial window, if non-empty). When
+// the windower implements DeltaWindower, each completed window carries the
+// added/retracted triples relative to the previous emission; otherwise every
+// window is delivered as a non-incremental delta (Added == Window). It
+// propagates the source error and stops early if handle returns an error.
 func WindowsDelta(ctx context.Context, src Source, filter Filter, w Windower, handle func(WindowDelta) error) error {
 	items := make(chan Item, 1024)
 	errc := make(chan error, 1)

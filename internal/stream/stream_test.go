@@ -20,9 +20,8 @@ func triples(n int) []rdf.Triple {
 func TestCountWindow(t *testing.T) {
 	w := &CountWindow{Size: 3}
 	var windows [][]rdf.Triple
-	now := time.Now()
-	for i, tr := range triples(7) {
-		if win := w.Add(Item{Triple: tr, At: now.Add(time.Duration(i))}); win != nil {
+	for _, tr := range triples(7) {
+		if win := w.Add(Item{Triple: tr}); win != nil {
 			windows = append(windows, win)
 		}
 	}
@@ -43,28 +42,6 @@ func TestCountWindow(t *testing.T) {
 	}
 }
 
-func TestTimeWindow(t *testing.T) {
-	w := &TimeWindow{Span: 10 * time.Millisecond}
-	base := time.Now()
-	var wins [][]rdf.Triple
-	for i := 0; i < 30; i++ {
-		it := Item{Triple: rdf.Triple{S: fmt.Sprintf("s%d", i), P: "p", O: "o"},
-			At: base.Add(time.Duration(i) * time.Millisecond)}
-		if win := w.Add(it); win != nil {
-			wins = append(wins, win)
-		}
-	}
-	if len(wins) != 2 {
-		t.Fatalf("got %d windows: %v", len(wins), wins)
-	}
-	if len(wins[0]) != 10 {
-		t.Errorf("first window size = %d, want 10", len(wins[0]))
-	}
-	if rest := w.Flush(); len(rest) != 10 {
-		t.Errorf("flush size = %d", len(rest))
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	src := &SliceSource{Triples: triples(5)}
 	out := make(chan Item, 16)
@@ -78,8 +55,10 @@ func TestSliceSource(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("got %d items", len(got))
 	}
-	if !got[1].At.After(got[0].At) {
-		t.Error("timestamps must increase")
+	for i, it := range got {
+		if want := fmt.Sprintf("s%d", i); it.Triple.S != want {
+			t.Errorf("item %d = %v, want subject %s", i, it.Triple, want)
+		}
 	}
 }
 
@@ -118,9 +97,9 @@ func TestWindowsPipeline(t *testing.T) {
 	}
 	src := &SliceSource{Triples: in}
 	var windows [][]rdf.Triple
-	err := Windows(context.Background(), src, PredicateFilter([]string{"keep"}),
-		&CountWindow{Size: 4}, func(w []rdf.Triple) error {
-			windows = append(windows, w)
+	err := WindowsDelta(context.Background(), src, PredicateFilter([]string{"keep"}),
+		&CountWindow{Size: 4}, func(wd WindowDelta) error {
+			windows = append(windows, wd.Window)
 			return nil
 		})
 	if err != nil {
@@ -146,8 +125,8 @@ func TestWindowsHandlerError(t *testing.T) {
 	src := &SliceSource{Triples: triples(100)}
 	wantErr := fmt.Errorf("boom")
 	calls := 0
-	err := Windows(context.Background(), src, nil, &CountWindow{Size: 10},
-		func(w []rdf.Triple) error {
+	err := WindowsDelta(context.Background(), src, nil, &CountWindow{Size: 10},
+		func(WindowDelta) error {
 			calls++
 			return wantErr
 		})

@@ -10,11 +10,10 @@ import (
 // below; a worker refuses a Hello with a version it does not speak.
 // Version 2: dictionary-coded request deltas (WindowReq.Dict/Parts replace
 // the raw triple window), multi-partition sessions with worker-side combine
-// (Hello.Partitions/MaxCombinations), and the Desync response flag.
+// (Hello.Partitions and a combine cap), and the Desync response flag.
 // Version 3: per-partition stat rows in WindowResp (PartTotalNS/PartItems —
 // the per-partition load signal behind the coordinator's PartitionLoads)
-// and byte-based memory budgets
-// (Hello.MemoryBudgetBytes).
+// and a byte-based memory budget, since removed (see version 6).
 // Version 4: conflict-driven solving on workers (Hello.CDNL) — a v3 worker
 // would silently solve with the wrong engine, skewing any ablation, so the
 // field rides a version bump. Each window is solved independently; no solver
@@ -24,7 +23,12 @@ import (
 // gob decoder sees a byte) and protocol-level heartbeats (WindowReq.Ping —
 // the coordinator probes idle sessions between windows, detecting dead
 // workers at ping cost instead of a full straggler deadline).
-const ProtocolVersion = 5
+// Version 6: Hello drops the byte-based memory budget and the combine cap;
+// workers combine with reasoner.DefaultMaxCombinations and rotate on the
+// entry-count MemoryBudget alone. gob silently drops fields the receiver
+// does not know, so a v5 peer sending a byte budget would otherwise run
+// unbudgeted: the bump makes the mismatch a refused handshake instead.
+const ProtocolVersion = 6
 
 // Hello opens a session: it carries everything the worker needs to build a
 // full reasoner for one partition. Workers are program-agnostic processes —
@@ -58,18 +62,11 @@ type Hello struct {
 	// rotates its (private) table between windows when the budget is
 	// exceeded, exactly like a local budgeted engine.
 	MemoryBudget int
-	// MemoryBudgetBytes bounds the worker's interning table by approximate
-	// retained bytes instead of entry count (0 = no byte budget). When both
-	// budgets are set the session rotates when either is exceeded.
-	MemoryBudgetBytes int64
 	// Partitions is the number of partition reasoners this session hosts
 	// (≥ 1; 0 is treated as 1). Every WindowReq ships one PartReq per
 	// partition, and the worker combines the partitions' answers before
 	// responding — one combined wire set stream per window.
 	Partitions int
-	// MaxCombinations caps the worker-side answer-set cross product (0 =
-	// the reasoner default), matching the coordinator's combine cap.
-	MaxCombinations int
 }
 
 // HelloAck answers a Hello. An empty Err accepts the session.

@@ -3,7 +3,6 @@ package streamrule
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"streamrule/internal/stream"
 )
@@ -58,12 +57,6 @@ type Pipeline struct {
 	// WindowStep, when set to less than WindowSize, makes the count window
 	// sliding: a window of the last WindowSize items every WindowStep items.
 	WindowStep int
-	// WindowSpan, when set, switches to time-based windows of this span and
-	// ignores WindowSize.
-	WindowSpan time.Duration
-	// WindowSlide, when set to less than WindowSpan, makes the time window
-	// sliding with this step.
-	WindowSlide time.Duration
 	// Reasoner processes each window. Required.
 	Reasoner Reasoner
 }
@@ -108,16 +101,12 @@ func (p *Pipeline) Run(ctx context.Context, handle func(window []Triple, out *Ou
 	}
 	var w stream.Windower
 	switch {
-	case p.WindowSpan > 0 && p.WindowSlide > 0 && p.WindowSlide < p.WindowSpan:
-		w = &stream.SlidingTimeWindow{Span: p.WindowSpan, Step: p.WindowSlide}
-	case p.WindowSpan > 0:
-		w = &stream.TimeWindow{Span: p.WindowSpan}
 	case p.WindowSize > 0 && p.WindowStep > 0 && p.WindowStep < p.WindowSize:
 		w = &stream.SlidingCountWindow{Size: p.WindowSize, Step: p.WindowStep}
 	case p.WindowSize > 0:
 		w = &stream.CountWindow{Size: p.WindowSize}
 	default:
-		return fmt.Errorf("streamrule: pipeline needs WindowSize or WindowSpan")
+		return fmt.Errorf("streamrule: pipeline needs WindowSize")
 	}
 	src := &stream.SliceSource{Triples: p.Source, Rate: p.Rate}
 	if pr, ok := p.Reasoner.(PipelinedReasoner); ok && pr.PipelineDepth() > 1 {

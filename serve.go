@@ -50,7 +50,7 @@ var (
 )
 
 // Server multiplexes many independent pipelines — tenants, each with its own
-// program, stream, private intern table, and byte budget — over one shared
+// program, stream, private intern table, and memory budget — over one shared
 // fleet of executor workers, with deficit-round-robin fair scheduling,
 // bounded per-tenant ingress queues, and tenant add/remove/drain that never
 // disturbs neighbors. It is the multi-tenant serving layer: "millions of

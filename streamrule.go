@@ -8,9 +8,7 @@ import (
 	"streamrule/internal/asp/ast"
 	"streamrule/internal/asp/parser"
 	"streamrule/internal/asp/solve"
-	"streamrule/internal/atomdep"
 	"streamrule/internal/core"
-	"streamrule/internal/dfp"
 	"streamrule/internal/rdf"
 	"streamrule/internal/reasoner"
 	"streamrule/internal/transport"
@@ -95,9 +93,7 @@ type options struct {
 	randomK          int
 	randomSeed       int64
 	maxModels        int
-	atomFanout       int
 	memoryBudget     int
-	memoryBudgetB    int64
 	naivePropagation bool
 	cdnl             bool
 	stragglerTimeout time.Duration
@@ -141,8 +137,9 @@ func WithMaxModels(n int) Option {
 // state references — whenever the table holds more than maxAtoms atoms
 // after a window. Required for streams that mint fresh constants every
 // window (timestamps, unique event IDs), whose table would otherwise grow
-// without bound; answers are unchanged by eviction. Inspect the effect via
-// Stats().
+// without bound; answers are unchanged by eviction. The budget counts
+// entries; the table's approximate retained bytes are reported by
+// Stats().Table.Bytes but do not trigger rotation.
 //
 // Lifetime of returned answers: budgeted windows materialize their answer
 // sets eagerly, so the atoms, keys, and key-based operations of sets
@@ -151,17 +148,6 @@ func WithMaxModels(n int) Option {
 // rotation renumbers the table underneath them.
 func WithMemoryBudget(maxAtoms int) Option {
 	return func(o *options) { o.memoryBudget = maxAtoms }
-}
-
-// WithMemoryBudgetBytes bounds the engine's interning table by approximate
-// retained BYTES instead of entry count — the successor of WithMemoryBudget,
-// with identical rotation semantics and answer guarantees. Entry counts are
-// a poor proxy for heap: N atoms over long symbols blow a real memory budget
-// that N short ones never approach. Both knobs may be combined; the table
-// rotates when either is exceeded. Inspect the effect via Stats() (the table
-// snapshot reports its approximate bytes).
-func WithMemoryBudgetBytes(maxBytes int64) Option {
-	return func(o *options) { o.memoryBudgetB = maxBytes }
 }
 
 // WithNaivePropagation selects the solver's legacy rescan-to-fixpoint
@@ -189,15 +175,6 @@ func WithCDNL() Option {
 	return func(o *options) { o.cdnl = true }
 }
 
-// WithAtomPartitioning enables the atom-level extension (the paper's §VI
-// future work): communities whose rules join on a single key are further
-// hash-split into m sub-partitions by key value, multiplying parallelism
-// beyond the number of predicate-level components. Communities the analysis
-// cannot prove splittable stay whole, so answers remain exact.
-func WithAtomPartitioning(m int) Option {
-	return func(o *options) { o.atomFanout = m }
-}
-
 func buildOptions(opts []Option) options {
 	o := options{resolution: 1.0}
 	for _, fn := range opts {
@@ -218,7 +195,6 @@ func (p *Program) config(o options) reasoner.Config {
 	cfg.SolveOpts.NaivePropagation = o.naivePropagation
 	cfg.SolveOpts.CDNL = o.cdnl && !o.naivePropagation
 	cfg.MemoryBudget = o.memoryBudget
-	cfg.MemoryBudgetBytes = o.memoryBudgetB
 	return cfg
 }
 
@@ -262,9 +238,9 @@ type ParallelEngine struct {
 	plan *Plan
 }
 
-// buildPartitioner constructs the partitioner the options select — random,
-// atom-level, or (default) the dependency plan — running the design-time
-// analysis where needed. Shared by the parallel and distributed engines.
+// buildPartitioner constructs the partitioner the options select — random
+// or (default) the dependency plan — running the design-time analysis where
+// needed. Shared by the parallel and distributed engines.
 func buildPartitioner(p *Program, o options) (reasoner.Partitioner, *Plan, error) {
 	if o.randomK > 0 {
 		return reasoner.NewRandomPartitioner(o.randomK, o.randomSeed), nil, nil
@@ -273,20 +249,7 @@ func buildPartitioner(p *Program, o options) (reasoner.Partitioner, *Plan, error
 	if err != nil {
 		return nil, nil, err
 	}
-	plan := a.Plan
-	if o.atomFanout > 0 {
-		arities, err := dfp.InferArities(p.AST, p.Inpre)
-		if err != nil {
-			return nil, nil, err
-		}
-		keys := atomdep.Analyze(p.AST, plan)
-		part, err := reasoner.NewAtomPartitioner(plan, keys, arities, o.atomFanout)
-		if err != nil {
-			return nil, nil, err
-		}
-		return part, plan, nil
-	}
-	return reasoner.NewPlanPartitioner(plan), plan, nil
+	return reasoner.NewPlanPartitioner(a.Plan), a.Plan, nil
 }
 
 // NewParallelEngine builds a parallel engine, running the dependency
